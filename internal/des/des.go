@@ -6,10 +6,11 @@
 // finish in milliseconds and are exactly reproducible.
 //
 // Events live in a slab with free-list reuse: scheduling allocates nothing
-// once the slab has grown to the experiment's working set, and the binary
-// heap orders int32 slab indices instead of pointers. Canceled timers are
-// compacted out of the heap once they outnumber live events, so retransmit
-// and heartbeat churn cannot grow the queue without bound.
+// once the slab has grown to the experiment's working set. The binary heap
+// holds each event's (at, seq) key inline next to its slab index, so
+// ordering never reads the slab and sifting touches one array. Canceled
+// timers are compacted out of the heap once they outnumber live events, so
+// retransmit and heartbeat churn cannot grow the queue without bound.
 package des
 
 import (
@@ -27,8 +28,6 @@ type Runner interface {
 // event is one scheduled callback, stored in the simulator's slab. Exactly
 // one of fn and runner is set. gen guards Timer handles against slot reuse.
 type event struct {
-	at       time.Duration
-	seq      uint64 // tie-break so same-time events run in schedule order
 	fn       func()
 	runner   Runner
 	gen      uint32
@@ -66,7 +65,7 @@ type Sim struct {
 	now      time.Duration
 	slab     []event
 	free     []int32 // free slab slots (stack)
-	queue    []int32 // binary heap of slab indices, ordered by (at, seq)
+	queue    []item  // binary heap ordered by (at, seq)
 	seq      uint64
 	rng      *rand.Rand
 	events   uint64
@@ -112,14 +111,11 @@ func (s *Sim) scheduleEvent(delay time.Duration, fn func(), r Runner) (int32, ui
 	}
 	idx := s.alloc()
 	e := &s.slab[idx]
-	e.at = s.now + delay
-	e.seq = s.seq
-	s.seq++
 	e.fn, e.runner = fn, r
-	gen := e.gen
-	s.queue = append(s.queue, idx)
+	s.queue = append(s.queue, item{at: s.now + delay, seq: s.seq, idx: idx})
+	s.seq++
 	s.up(len(s.queue) - 1)
-	return idx, gen
+	return idx, e.gen
 }
 
 // Schedule runs fn after delay of virtual time and returns a cancellable
@@ -137,21 +133,27 @@ func (s *Sim) ScheduleRunner(delay time.Duration, r Runner) {
 	s.scheduleEvent(delay, nil, r)
 }
 
-// ---- index heap, ordered by (at, seq) ----
+// ---- event heap, ordered by (at, seq) ----
 
-func (s *Sim) less(a, b int32) bool {
-	ea, eb := &s.slab[a], &s.slab[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+// item is one heap slot: the event's firing key and its slab index.
+type item struct {
+	at  time.Duration
+	seq uint64 // tie-break so same-time events run in schedule order
+	idx int32
+}
+
+func (a *item) less(b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
 func (s *Sim) up(j int) {
 	q := s.queue
 	for j > 0 {
 		i := (j - 1) / 2
-		if !s.less(q[j], q[i]) {
+		if !q[j].less(&q[i]) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
@@ -168,10 +170,10 @@ func (s *Sim) down(i int) {
 			break
 		}
 		j := l
-		if r := l + 1; r < n && s.less(q[r], q[l]) {
+		if r := l + 1; r < n && q[r].less(&q[l]) {
 			j = r
 		}
-		if !s.less(q[j], q[i]) {
+		if !q[j].less(&q[i]) {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
@@ -179,16 +181,16 @@ func (s *Sim) down(i int) {
 	}
 }
 
-func (s *Sim) popMin() int32 {
+func (s *Sim) popMin() item {
 	q := s.queue
-	idx := q[0]
+	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
 	s.queue = q[:n]
 	if n > 0 {
 		s.down(0)
 	}
-	return idx
+	return top
 }
 
 // compactMinCanceled bounds how small a queue bothers compacting; below
@@ -204,12 +206,12 @@ func (s *Sim) maybeCompact() {
 		return
 	}
 	live := s.queue[:0]
-	for _, idx := range s.queue {
-		if s.slab[idx].canceled {
+	for _, it := range s.queue {
+		if s.slab[it.idx].canceled {
 			s.canceled--
-			s.release(idx)
+			s.release(it.idx)
 		} else {
-			live = append(live, idx)
+			live = append(live, it)
 		}
 	}
 	s.queue = live
@@ -222,14 +224,15 @@ func (s *Sim) maybeCompact() {
 // is empty.
 func (s *Sim) step() bool {
 	for len(s.queue) > 0 {
-		idx := s.popMin()
+		top := s.popMin()
+		idx := top.idx
 		e := &s.slab[idx]
 		if e.canceled {
 			s.canceled--
 			s.release(idx)
 			continue
 		}
-		s.now = e.at
+		s.now = top.at
 		s.events++
 		fn, r := e.fn, e.runner
 		// Release before running: the callback may schedule new events,
@@ -250,15 +253,14 @@ func (s *Sim) step() bool {
 func (s *Sim) Run(until time.Duration) {
 	for len(s.queue) > 0 {
 		// Peek: stop before executing an event beyond the horizon.
-		root := s.queue[0]
-		e := &s.slab[root]
-		if e.canceled {
+		root := &s.queue[0]
+		if idx := root.idx; s.slab[idx].canceled {
 			s.popMin()
 			s.canceled--
-			s.release(root)
+			s.release(idx)
 			continue
 		}
-		if e.at > until {
+		if root.at > until {
 			s.now = until
 			return
 		}

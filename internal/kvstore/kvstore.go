@@ -7,7 +7,7 @@ package kvstore
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -84,17 +84,35 @@ type Result struct {
 // reads through Get.
 type Store struct {
 	mu      sync.RWMutex
-	data    map[uint64][]byte
-	version map[uint64]uint64
+	keys    map[uint64]*keyState
+	live    int    // keys holding a value
 	applied uint64 // total commands applied, for metrics/tests
+}
+
+// keyState is everything the store knows about one key. A key enters the
+// map on its first write and stays after a Delete: its write-version still
+// matters to quorum reads.
+type keyState struct {
+	value   []byte
+	live    bool   // the key holds value (false once deleted)
+	version uint64 // writes applied to the key
 }
 
 // New creates an empty store.
 func New() *Store {
-	return &Store{
-		data:    make(map[uint64][]byte),
-		version: make(map[uint64]uint64),
+	return &Store{keys: make(map[uint64]*keyState)}
+}
+
+// write counts one more write to key and returns its state, creating it on
+// first use.
+func (s *Store) write(key uint64) *keyState {
+	k := s.keys[key]
+	if k == nil {
+		k = &keyState{}
+		s.keys[key] = k
 	}
+	k.version++
+	return k
 }
 
 // Apply executes cmd against the state machine and returns its result.
@@ -104,19 +122,27 @@ func (s *Store) Apply(cmd Command) Result {
 	s.applied++
 	switch cmd.Op {
 	case Get:
-		v, ok := s.data[cmd.Key]
+		v, ok := s.get(cmd.Key)
 		return Result{Exists: ok, Value: v}
 	case Put:
-		// Copy so callers may reuse their buffers.
-		v := make([]byte, len(cmd.Value))
-		copy(v, cmd.Value)
-		s.data[cmd.Key] = v
-		s.version[cmd.Key]++
+		k := s.write(cmd.Key)
+		if !k.live {
+			k.live = true
+			s.live++
+		}
+		// Copy so callers may reuse their buffers. A fresh slice, never
+		// the old one's: earlier results and reads still hold that.
+		k.value = make([]byte, len(cmd.Value))
+		copy(k.value, cmd.Value)
 		return Result{Exists: true, Value: nil}
 	case Delete:
-		_, ok := s.data[cmd.Key]
-		delete(s.data, cmd.Key)
-		s.version[cmd.Key]++
+		k := s.write(cmd.Key)
+		ok := k.live
+		if ok {
+			k.live = false
+			k.value = nil
+			s.live--
+		}
 		return Result{Exists: ok}
 	default:
 		return Result{}
@@ -128,8 +154,14 @@ func (s *Store) Apply(cmd Command) Result {
 func (s *Store) Get(key uint64) (value []byte, ok bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	v, ok := s.data[key]
-	return v, ok
+	return s.get(key)
+}
+
+func (s *Store) get(key uint64) ([]byte, bool) {
+	if k := s.keys[key]; k != nil && k.live {
+		return k.value, true
+	}
+	return nil, false
 }
 
 // Version returns the write-version of a key (number of writes applied to
@@ -137,14 +169,17 @@ func (s *Store) Get(key uint64) (value []byte, ok bool) {
 func (s *Store) Version(key uint64) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.version[key]
+	if k := s.keys[key]; k != nil {
+		return k.version
+	}
+	return 0
 }
 
 // Len returns the number of live keys.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.data)
+	return s.live
 }
 
 // Applied returns the total number of commands applied.
@@ -163,13 +198,15 @@ func (s *Store) Checksum() uint64 {
 	var h uint64 = 14695981039346656037 // FNV offset basis
 	// XOR per-key hashes so iteration order does not matter.
 	var acc uint64
-	for k, v := range s.data {
-		kh := h
-		kh = fnvMix(kh, k)
-		for _, b := range v {
+	for key, k := range s.keys {
+		if !k.live {
+			continue
+		}
+		kh := fnvMix(h, key)
+		for _, b := range k.value {
 			kh = (kh ^ uint64(b)) * 1099511628211
 		}
-		kh = fnvMix(kh, s.version[k])
+		kh = fnvMix(kh, k.version)
 		acc ^= kh
 	}
 	return acc
@@ -178,39 +215,38 @@ func (s *Store) Checksum() uint64 {
 // Serialize appends the full store state to b in a deterministic layout
 // (keys sorted ascending), so every replica serializes identical state to
 // identical bytes — snapshots can be compared and shipped between nodes.
-// The version map is serialized in full, including keys whose data was
-// deleted (their write-versions still matter to quorum reads).
+// The version section lists every key ever written, including keys whose
+// data was deleted (their write-versions still matter to quorum reads); the
+// data section lists the live keys.
 func (s *Store) Serialize(b []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	b = binary.LittleEndian.AppendUint64(b, s.applied)
-	verKeys := make([]uint64, 0, len(s.version))
-	for k := range s.version {
-		verKeys = append(verKeys, k)
+	keys := make([]uint64, 0, len(s.keys))
+	for key := range s.keys {
+		keys = append(keys, key)
 	}
-	sort.Slice(verKeys, func(i, j int) bool { return verKeys[i] < verKeys[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(verKeys)))
-	for _, k := range verKeys {
-		b = binary.LittleEndian.AppendUint64(b, k)
-		b = binary.LittleEndian.AppendUint64(b, s.version[k])
+	slices.Sort(keys)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys)))
+	for _, key := range keys {
+		b = binary.LittleEndian.AppendUint64(b, key)
+		b = binary.LittleEndian.AppendUint64(b, s.keys[key].version)
 	}
-	dataKeys := make([]uint64, 0, len(s.data))
-	for k := range s.data {
-		dataKeys = append(dataKeys, k)
-	}
-	sort.Slice(dataKeys, func(i, j int) bool { return dataKeys[i] < dataKeys[j] })
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(dataKeys)))
-	for _, k := range dataKeys {
-		v := s.data[k]
-		b = binary.LittleEndian.AppendUint64(b, k)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
-		b = append(b, v...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.live))
+	for _, key := range keys {
+		if k := s.keys[key]; k.live {
+			b = binary.LittleEndian.AppendUint64(b, key)
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(k.value)))
+			b = append(b, k.value...)
+		}
 	}
 	return b
 }
 
 // Restore replaces the store's contents with a state previously produced by
-// Serialize, returning the number of bytes consumed.
+// Serialize, returning the number of bytes consumed. A data key missing from
+// the version section (which Serialize never emits) restores at version 0
+// and is listed in the version section when serialized again.
 func (s *Store) Restore(b []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -242,22 +278,22 @@ func (s *Store) Restore(b []byte) (int, error) {
 	if !ok {
 		return fail()
 	}
-	version := make(map[uint64]uint64, nVer)
+	keys := make(map[uint64]*keyState, nVer)
 	for i := uint32(0); i < nVer; i++ {
 		k, ok1 := u64()
 		v, ok2 := u64()
 		if !ok1 || !ok2 {
 			return fail()
 		}
-		version[k] = v
+		keys[k] = &keyState{version: v}
 	}
 	nData, ok := u32()
 	if !ok {
 		return fail()
 	}
-	data := make(map[uint64][]byte, nData)
+	live := 0
 	for i := uint32(0); i < nData; i++ {
-		k, ok1 := u64()
+		key, ok1 := u64()
 		n, ok2 := u32()
 		if !ok1 || !ok2 || off+int(n) > len(b) {
 			return fail()
@@ -265,11 +301,20 @@ func (s *Store) Restore(b []byte) (int, error) {
 		v := make([]byte, n)
 		copy(v, b[off:off+int(n)])
 		off += int(n)
-		data[k] = v
+		k := keys[key]
+		if k == nil {
+			k = &keyState{}
+			keys[key] = k
+		}
+		if !k.live {
+			k.live = true
+			live++
+		}
+		k.value = v
 	}
 	s.applied = applied
-	s.version = version
-	s.data = data
+	s.keys = keys
+	s.live = live
 	return off, nil
 }
 

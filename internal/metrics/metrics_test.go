@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -266,5 +267,60 @@ func TestHistogramGoldenQuantiles(t *testing.T) {
 	}
 	if !strings.Contains(s.String(), "p99.9=9.99ms") {
 		t.Errorf("summary string missing p99.9: %q", s.String())
+	}
+}
+
+// Past the raw cap, percentiles come from log-linear buckets: 100k samples
+// of a known distribution must land within the stated 1/128 of the exact
+// nearest-rank value at every quantile.
+func TestHistogramBucketPrecision(t *testing.T) {
+	const n = 100000
+	for _, dist := range []struct {
+		name string
+		at   func(i int) time.Duration // i-th smallest sample, i in [1, n]
+	}{
+		{"uniform 1µs..100ms", func(i int) time.Duration { return time.Duration(i) * time.Microsecond }},
+		{"log-uniform 1µs..1s", func(i int) time.Duration {
+			return time.Duration(float64(time.Microsecond) * math.Pow(1e6, float64(i-1)/(n-1)))
+		}},
+	} {
+		h := NewHistogram()
+		for i := 0; i < n; i++ {
+			h.Observe(dist.at((i*7919)%n + 1)) // 7919 coprime with n: a permutation
+		}
+		if h.buckets == nil || h.Count() != n {
+			t.Fatalf("%s: %d samples did not move to buckets", dist.name, h.Count())
+		}
+		for pm := 1; pm <= 1000; pm++ {
+			p := float64(pm) / 10
+			exact := dist.at(int(math.Ceil(p/100*n - 1e-9)))
+			got := h.Percentile(p)
+			if d := got - exact; d > exact/128 || -d > exact/128 {
+				t.Fatalf("%s: p%.1f = %v, exact %v: off by more than 1/128", dist.name, p, got, exact)
+			}
+		}
+	}
+}
+
+// Below the raw cap the exact path holds even for samples that share a
+// bucket, and the first sample past it keeps every earlier one.
+func TestHistogramRawCapBoundary(t *testing.T) {
+	h := NewHistogram()
+	for i := 0; i < defaultRawCap; i++ {
+		h.Observe(time.Duration(1000000 + i))
+	}
+	if h.buckets != nil || h.Percentile(50) != 1000000+defaultRawCap/2-1 {
+		t.Fatalf("exact path lost at the cap: p50 = %v", h.Percentile(50))
+	}
+	h.Observe(time.Hour)
+	if h.raw != nil || h.Count() != defaultRawCap+1 || h.Percentile(100) != time.Hour {
+		t.Fatalf("overflow: raw=%d count=%d p100=%v", len(h.raw), h.Count(), h.Percentile(100))
+	}
+	var total uint64
+	for _, c := range h.buckets {
+		total += c
+	}
+	if total != defaultRawCap+1 {
+		t.Fatalf("buckets hold %d samples, want %d", total, defaultRawCap+1)
 	}
 }

@@ -353,11 +353,11 @@ type pendingCmd struct {
 func New(ctx node.Context, cfg Config, diss Disseminator) *Replica {
 	cfg.applyDefaults()
 	r := &Replica{
-		ctx:      ctx,
-		cfg:      cfg,
-		diss:     diss,
-		log:      rlog.New(),
-		store:    kvstore.New(),
+		ctx:        ctx,
+		cfg:        cfg,
+		diss:       diss,
+		log:        rlog.New(),
+		store:      kvstore.New(),
 		p2qs:       make(map[uint64]*quorum.Threshold),
 		routes:     make(map[uint64][]route),
 		sessions:   make(map[uint64]*session),
@@ -1174,14 +1174,7 @@ func (r *Replica) execute() {
 // the execution cursor below the watermark, the follower asks the leader to
 // re-announce them (catch-up).
 func (r *Replica) applyWatermark(w uint64, b ids.Ballot) {
-	for slot := r.log.ExecuteCursor(); slot < w; slot++ {
-		e := r.log.Get(slot)
-		if e == nil || e.Committed || e.Ballot != b {
-			continue
-		}
-		r.log.Commit(slot, b, e.Commands)
-		r.stats.Commits++
-	}
+	r.stats.Commits += uint64(r.log.CommitAccepted(w, b))
 	r.execute()
 	if r.log.ExecuteCursor() < w && !r.catchupInFlight {
 		r.catchupInFlight = true

@@ -1,5 +1,5 @@
 // Package rlog implements the replicated command log shared by Paxos and
-// PigPaxos replicas: a sparse slot → entry map with commit tracking and an
+// PigPaxos replicas: a paged slot-indexed window with commit tracking and an
 // in-order execution cursor that tolerates gaps (commands execute only once
 // every lower slot has executed, per Paxos phase-3 semantics).
 //
@@ -11,7 +11,7 @@ package rlog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
@@ -24,15 +24,40 @@ type Entry struct {
 	Commands  []kvstore.Command // the accepted command batch (nil = no-op)
 	Committed bool              // leader anchored the batch
 	Executed  bool              // applied to the state machine
+
+	held bool // the slot holds an entry; false marks a hole in the window
 }
+
+// pageSize is how many consecutive slots one page of the window holds.
+const (
+	pageBits = 8
+	pageSize = 1 << pageBits
+)
+
+type page [pageSize]Entry
 
 // Log is a single replica's view of the replicated log. It is not safe for
 // concurrent use; each replica's event loop owns its log.
+//
+// Entries live in a window of fixed-size pages: pages[i] holds slots
+// [base+i·pageSize, base+(i+1)·pageSize), and a page is allocated only while
+// it holds an entry. Accept and Commit only touch slots at or above the
+// compaction floor, and base never passes the floor, so the window only
+// grows at its tail; CompactTo and InstallSnapshot free the pages they
+// empty and cut the window's head. Memory is one pointer per pageSize slots
+// of span, from the oldest held entry to the highest slot seen, plus one
+// page per run of pageSize slots that holds an entry. Entries never move,
+// so a pointer from Get stays valid until its entry is dropped.
 type Log struct {
-	entries   map[uint64]*Entry
+	pages     []*page
+	base      uint64 // first slot of pages[0]; never above firstSlot
+	held      int    // live entries
 	firstSlot uint64 // lowest slot that may still be unexecuted
 	nextSlot  uint64 // next slot a leader would propose into
 	execCur   uint64 // next slot to execute
+	// commitCur is the committed-prefix cursor: every entry in
+	// [execCur, commitCur) is committed, so CommitAccepted starts past them.
+	commitCur uint64
 
 	// st, when attached, journals every Accept and Commit so the log is
 	// reconstructible after a crash. Attached only after boot replay, so
@@ -42,7 +67,7 @@ type Log struct {
 
 // New creates an empty log whose first slot is 1.
 func New() *Log {
-	return &Log{entries: make(map[uint64]*Entry), firstSlot: 1, nextSlot: 1, execCur: 1}
+	return &Log{base: 1, firstSlot: 1, nextSlot: 1, execCur: 1, commitCur: 1}
 }
 
 // Attach turns on journaling: every subsequent Accept and Commit is
@@ -55,11 +80,7 @@ func (l *Log) Attach(st wal.Storage) { l.st = st }
 // cursors advance to at least floor. Handles a snapshot newer than the log
 // tail (floor beyond nextSlot) — the log simply becomes empty at floor.
 func (l *Log) InstallSnapshot(floor uint64) {
-	for s := range l.entries {
-		if s < floor {
-			delete(l.entries, s)
-		}
-	}
+	l.dropBelow(floor, func(*Entry) bool { return true })
 	if floor > l.firstSlot {
 		l.firstSlot = floor
 	}
@@ -69,6 +90,7 @@ func (l *Log) InstallSnapshot(floor uint64) {
 	if floor > l.nextSlot {
 		l.nextSlot = floor
 	}
+	l.trim()
 }
 
 // NextSlot returns the next unproposed slot and advances the proposal cursor.
@@ -100,11 +122,11 @@ func (l *Log) Accept(slot uint64, b ids.Ballot, cmds []kvstore.Command) bool {
 		// lagging leader quorum a no-op over an anchored batch.
 		return false
 	}
-	e, ok := l.entries[slot]
-	if !ok {
-		l.entries[slot] = &Entry{Ballot: b, Commands: cmds}
-		l.BumpNextSlot(slot)
-		l.journal(wal.KindAccept, slot, b, cmds)
+	e := l.Get(slot)
+	if e == nil {
+		e = l.add(slot)
+		e.Ballot, e.Commands = b, cmds
+		l.accepted(slot, e)
 		return true
 	}
 	if e.Committed {
@@ -117,9 +139,15 @@ func (l *Log) Accept(slot uint64, b ids.Ballot, cmds []kvstore.Command) bool {
 	}
 	e.Ballot = b
 	e.Commands = cmds
-	l.BumpNextSlot(slot)
-	l.journal(wal.KindAccept, slot, b, cmds)
+	l.accepted(slot, e)
 	return true
+}
+
+// accepted finishes an Accept that left uncommitted entry e at slot.
+func (l *Log) accepted(slot uint64, e *Entry) {
+	l.commitCur = min(l.commitCur, slot)
+	l.BumpNextSlot(slot)
+	l.journal(wal.KindAccept, slot, e.Ballot, e.Commands)
 }
 
 // journal appends one record to the attached storage (buffered until the
@@ -142,10 +170,9 @@ func (l *Log) Commit(slot uint64, b ids.Ballot, cmds []kvstore.Command) {
 	if slot < l.firstSlot {
 		return // compacted: already committed and executed here
 	}
-	e, ok := l.entries[slot]
-	if !ok {
-		e = &Entry{}
-		l.entries[slot] = e
+	e := l.Get(slot)
+	if e == nil {
+		e = l.add(slot)
 	}
 	if e.Executed {
 		return
@@ -157,8 +184,130 @@ func (l *Log) Commit(slot uint64, b ids.Ballot, cmds []kvstore.Command) {
 	l.journal(wal.KindCommit, slot, b, cmds)
 }
 
+// CommitAccepted commits, in slot order, every uncommitted entry below w
+// that was accepted under ballot b — the commit-watermark rule: such values
+// are necessarily the anchored ones. It returns how many it committed. The
+// scan starts at the committed-prefix cursor rather than the execution
+// cursor, so a follower stalled on a gap does not rescan its committed tail
+// on every watermark.
+func (l *Log) CommitAccepted(w uint64, b ids.Ballot) int {
+	n := 0
+	slot := max(l.execCur, l.commitCur)
+	cur := w // first slot below w left uncommitted, if any
+	for ; slot < w; slot++ {
+		e := l.Get(slot)
+		if e == nil || e.Committed {
+			continue
+		}
+		if e.Ballot != b {
+			cur = min(cur, slot)
+			continue
+		}
+		l.Commit(slot, b, e.Commands)
+		n++
+		if !e.Committed {
+			cur = min(cur, slot) // held below the floor: Commit refuses it
+		}
+	}
+	if cur > l.commitCur {
+		l.commitCur = cur
+	}
+	return n
+}
+
 // Get returns the entry at slot, or nil.
-func (l *Log) Get(slot uint64) *Entry { return l.entries[slot] }
+func (l *Log) Get(slot uint64) *Entry {
+	if slot < l.base {
+		return nil
+	}
+	off := slot - l.base
+	if p := off >> pageBits; p < uint64(len(l.pages)) && l.pages[p] != nil {
+		if e := &l.pages[p][off%pageSize]; e.held {
+			return e
+		}
+	}
+	return nil
+}
+
+// add returns a fresh entry for slot, which must hold none and lie at or
+// above base, growing the window's tail to reach it.
+func (l *Log) add(slot uint64) *Entry {
+	off := slot - l.base
+	p := off >> pageBits
+	if n := uint64(len(l.pages)); p >= n {
+		l.pages = slices.Grow(l.pages, int(p+1-n))[:p+1]
+	}
+	if l.pages[p] == nil {
+		l.pages[p] = new(page)
+	}
+	e := &l.pages[p][off%pageSize]
+	e.held = true
+	l.held++
+	return e
+}
+
+// each calls fn for every entry at or above slot from, in slot order.
+func (l *Log) each(from uint64, fn func(slot uint64, e *Entry)) {
+	for p, pg := range l.pages {
+		start := l.base + uint64(p)<<pageBits
+		if pg == nil || start+pageSize <= from {
+			continue
+		}
+		for i := range pg {
+			if s := start + uint64(i); pg[i].held && s >= from {
+				fn(s, &pg[i])
+			}
+		}
+	}
+}
+
+// dropBelow removes the entries below slot that drop selects, frees the
+// pages it empties and cuts the window's head; it returns how many it
+// removed.
+func (l *Log) dropBelow(slot uint64, drop func(*Entry) bool) int {
+	n := 0
+	for p, pg := range l.pages {
+		start := l.base + uint64(p)<<pageBits
+		if start >= slot {
+			break
+		}
+		if pg == nil {
+			continue
+		}
+		left := 0
+		for i := range pg {
+			if e := &pg[i]; e.held {
+				if start+uint64(i) < slot && drop(e) {
+					*e = Entry{}
+					n++
+				} else {
+					left++
+				}
+			}
+		}
+		if left == 0 {
+			l.pages[p] = nil
+		}
+	}
+	l.held -= n
+	return n
+}
+
+// trim cuts the window's leading unallocated pages below firstSlot, keeping
+// base at or below it; an empty log drops its page table and restarts the
+// window at firstSlot.
+func (l *Log) trim() {
+	if l.held == 0 {
+		l.pages, l.base = nil, l.firstSlot
+		return
+	}
+	k := 0
+	for l.pages[k] == nil && l.base+uint64(k+1)<<pageBits <= l.firstSlot {
+		k++
+	}
+	l.pages = l.pages[k:]
+	l.base += uint64(k) << pageBits
+}
 
 // ExecuteReady applies every contiguous committed-but-unexecuted batch
 // starting at the execution cursor to sm, invoking fn (if non-nil) with the
@@ -168,8 +317,8 @@ func (l *Log) Get(slot uint64) *Entry { return l.entries[slot] }
 func (l *Log) ExecuteReady(sm *kvstore.Store, fn func(slot uint64, idx int, cmd kvstore.Command, res kvstore.Result)) int {
 	n := 0
 	for {
-		e, ok := l.entries[l.execCur]
-		if !ok || !e.Committed {
+		e := l.Get(l.execCur)
+		if e == nil || !e.Committed {
 			return n
 		}
 		for i, cmd := range e.Commands {
@@ -194,30 +343,27 @@ type SlotEntry struct {
 }
 
 // Uncommitted returns the slots in [from, l.nextSlot) that hold accepted but
-// uncommitted proposals, in ascending slot order. The sorted slice (not a
-// map) keeps map iteration order out of any caller's message or timing
-// sequence — the same determinism bug class the PR 4 redirectPending fix
-// closed. (Phase-1 recovery walks the log directly to include committed
-// entries; this remains as a diagnostic helper.)
+// uncommitted proposals, in ascending slot order. (Phase-1 recovery walks
+// the log directly to include committed entries; this remains as a
+// diagnostic helper.)
 func (l *Log) Uncommitted(from uint64) []SlotEntry {
 	var out []SlotEntry
-	for s, e := range l.entries {
-		if s >= from && !e.Committed {
-			out = append(out, SlotEntry{Slot: s, Entry: *e})
+	l.each(from, func(slot uint64, e *Entry) {
+		if !e.Committed {
+			out = append(out, SlotEntry{Slot: slot, Entry: *e})
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
+	})
 	return out
 }
 
 // CommittedCount returns how many slots have committed (for tests/metrics).
 func (l *Log) CommittedCount() int {
 	n := 0
-	for _, e := range l.entries {
+	l.each(0, func(_ uint64, e *Entry) {
 		if e.Committed {
 			n++
 		}
-	}
+	})
 	return n
 }
 
@@ -225,21 +371,16 @@ func (l *Log) CommittedCount() int {
 // only discarded if executed; callers typically pass the cluster-wide
 // minimum execution cursor.
 func (l *Log) CompactTo(slot uint64) int {
-	n := 0
-	for s, e := range l.entries {
-		if s < slot && e.Executed {
-			delete(l.entries, s)
-			n++
-		}
-	}
+	n := l.dropBelow(slot, func(e *Entry) bool { return e.Executed })
 	if slot > l.firstSlot {
 		l.firstSlot = slot
 	}
+	l.trim()
 	return n
 }
 
 // Len returns the number of live entries.
-func (l *Log) Len() int { return len(l.entries) }
+func (l *Log) Len() int { return l.held }
 
 // FirstSlot returns the compaction floor: the lowest slot the log may still
 // hold. Requests for slots below it need snapshot-based catch-up.
@@ -247,5 +388,5 @@ func (l *Log) FirstSlot() uint64 { return l.firstSlot }
 
 // String summarizes the log state.
 func (l *Log) String() string {
-	return fmt.Sprintf("log{next=%d exec=%d entries=%d}", l.nextSlot, l.execCur, len(l.entries))
+	return fmt.Sprintf("log{next=%d exec=%d entries=%d}", l.nextSlot, l.execCur, l.held)
 }

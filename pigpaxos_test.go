@@ -262,6 +262,11 @@ func TestClusterLeaderTracksFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// One committed write: the initial leader has finished its election.
+	cl, _ := c.Client()
+	if err := cl.Put(1, []byte("elected")); err != nil {
+		t.Fatal(err)
+	}
 	old := c.Leader()
 	if old == 0 {
 		t.Fatal("no leader reported on a healthy cluster")
