@@ -3,6 +3,10 @@
 // driving the benchmark workload, and measures throughput and latency over
 // a virtual-time window — the methodology of §5.2 (Paxi benchmark, clients
 // on unmetered machines, 1000-key uniform workload).
+//
+// Every runner (Run, RunScenario, RunOverload) brings its cluster up through
+// one path (deploy.go); they differ only in the clients they attach and what
+// they measure. An unsharded deployment is a sharded one with Shards = 1.
 package harness
 
 import (
@@ -10,7 +14,6 @@ import (
 	"time"
 
 	"pigpaxos/internal/config"
-	"pigpaxos/internal/des"
 	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
@@ -18,6 +21,7 @@ import (
 	"pigpaxos/internal/netsim"
 	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/pigpaxos"
+	"pigpaxos/internal/shard"
 	"pigpaxos/internal/wire"
 	"pigpaxos/internal/workload"
 )
@@ -52,6 +56,10 @@ type Options struct {
 	Protocol Protocol
 	// N is the cluster size.
 	N int
+	// Shards partitions the key space across that many independent
+	// consensus groups multiplexed over the N nodes (shard.Plan's layout;
+	// Paxos and PigPaxos only). 0 and 1 both mean one unsharded group.
+	Shards int
 	// WAN spreads nodes over three regions (Figure 9); otherwise LAN.
 	WAN bool
 	// WANLossy additionally gives every WAN path its representative jitter
@@ -178,12 +186,15 @@ type Result struct {
 	// count.
 	LeaderUtil       float64
 	MeanFollowerUtil float64
-	// MeanBatchSize is commands per proposed slot at the leader over the
+	// MeanBatchSize is commands per proposed slot at the leaders over the
 	// whole run (1.0 unbatched, 0 for EPaxos which does not batch).
 	MeanBatchSize float64
 	// MsgsPerCmd is network messages sent cluster-wide per command
-	// executed at the leader — the amortization batching buys.
+	// executed at the leaders — the amortization batching buys.
 	MsgsPerCmd float64
+	// PerShard splits the in-window acks by shard (one entry when
+	// unsharded).
+	PerShard []ShardLoad
 }
 
 // String implements fmt.Stringer.
@@ -192,78 +203,83 @@ func (r Result) String() string {
 		r.Protocol, r.N, r.Clients, r.Throughput, r.Latency.Mean, r.Latency.P99)
 }
 
-// replica is the common surface of the three protocol replicas.
-type replica interface {
-	Start()
-	OnMessage(from ids.ID, m wire.Msg)
-}
-
-type trampoline struct{ h func(from ids.ID, m wire.Msg) }
-
-func (t *trampoline) OnMessage(from ids.ID, m wire.Msg) { t.h(from, m) }
-
 // client is a closed-loop benchmark client: it keeps exactly one request in
-// flight, issuing the next upon each reply — the paper's client model.
+// flight, issuing the next upon each reply — the paper's client model. Each
+// op routes by key to its shard, with one at-most-once session (sequence
+// counter) per shard.
 type client struct {
-	id      uint64
-	ep      *netsim.Endpoint
-	gen     *workload.Generator
-	targets []ids.ID // servers this client may contact
-	rrIdx   int
+	id   uint64
+	ep   *netsim.Endpoint
+	gen  *workload.Generator
+	plan shard.Map
+	// to is each shard's believed leader, re-aimed by redirects. Leaderless
+	// protocols instead rotate ops over spread, starting at rr.
+	to     []ids.ID
+	spread []ids.ID
+	rr     int
+	seqs   []uint64
 
-	seq       uint64
-	lastCmd   kvstore.Command
+	cur       kvstore.Command
+	curShard  int
 	issuedAt  time.Duration
 	warmupEnd time.Duration
 	windowEnd time.Duration
 
-	hist      *metrics.Histogram
-	series    *metrics.TimeSeries
-	completed *metrics.Counter
-	stop      bool
-}
-
-func (c *client) target() ids.ID {
-	t := c.targets[c.rrIdx%len(c.targets)]
-	c.rrIdx++
-	return t
+	hist       *metrics.Histogram
+	series     *metrics.TimeSeries
+	completed  *metrics.Counter
+	shardAcked []metrics.Counter
+	stop       bool
 }
 
 func (c *client) next() {
 	if c.stop {
 		return
 	}
-	c.seq++
-	c.lastCmd = c.gen.Next(c.id, c.seq)
+	cmd := c.gen.Next(c.id, 0)
+	k := c.plan.Router.Shard(cmd.Key)
+	c.seqs[k]++
+	cmd.Seq = c.seqs[k]
+	c.cur, c.curShard = cmd, k
 	c.issuedAt = c.ep.Now()
-	c.ep.Send(c.target(), wire.Request{Cmd: c.lastCmd})
+	to := c.to[k]
+	if c.spread != nil {
+		to = c.spread[c.rr%len(c.spread)]
+		c.rr++
+	}
+	c.ep.Send(to, request(c.plan, k, cmd))
 }
 
-// OnMessage handles replies (and redirects) for the client.
+// OnMessage handles replies, redirects and Busy backpressure.
 func (c *client) OnMessage(from ids.ID, m wire.Msg) {
+	m, k := unwrap(m)
+	if k != c.curShard {
+		return
+	}
 	if busy, ok := m.(wire.Busy); ok {
 		// Overloaded leader shed us: back off for the hinted interval, then
 		// retry the same command (the rejected sequence number was not
 		// consumed, so a retry is admitted as new).
-		if busy.Seq != c.seq || c.stop {
+		if busy.Seq != c.cur.Seq || c.stop {
 			return
 		}
 		c.ep.After(busy.RetryAfter, func() {
-			if busy.Seq != c.seq || c.stop {
+			if busy.Seq != c.cur.Seq || k != c.curShard || c.stop {
 				return
 			}
-			c.ep.Send(busy.Leader, wire.Request{Cmd: c.lastCmd})
+			c.ep.Send(busy.Leader, request(c.plan, k, c.cur))
 		})
 		return
 	}
 	rep, ok := m.(wire.Reply)
-	if !ok || rep.Seq != c.seq {
+	if !ok || rep.Seq != c.cur.Seq {
 		return // stale reply from a retried request
 	}
 	if !rep.OK {
 		// Redirected: retry the same command at the hinted leader.
 		if !rep.Leader.IsZero() {
-			c.ep.Send(rep.Leader, wire.Request{Cmd: c.lastCmd})
+			c.to[k] = rep.Leader
+			c.ep.Send(rep.Leader, request(c.plan, k, c.cur))
 			return
 		}
 		c.next()
@@ -273,6 +289,7 @@ func (c *client) OnMessage(from ids.ID, m wire.Msg) {
 	if now >= c.warmupEnd && now < c.windowEnd {
 		c.hist.Observe(now - c.issuedAt)
 		c.completed.Inc()
+		c.shardAcked[k].Inc()
 		if c.series != nil {
 			c.series.Record(now - c.warmupEnd)
 		}
@@ -285,54 +302,12 @@ func (c *client) OnMessage(from ids.ID, m wire.Msg) {
 // Run executes one experiment and returns its measurements.
 func Run(opts Options) Result {
 	opts.applyDefaults()
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
+	d := deploy(&ScenarioOptions{Options: opts})
+	sim, cc, net := d.sim, d.cc, d.net
 
-	leader := cc.Nodes[0]
-	replicas := make(map[ids.ID]replica, opts.N)
-	for _, id := range cc.Nodes {
-		tr := &trampoline{}
-		ep := net.Register(id, tr, false)
-		var rep replica
-		switch opts.Protocol {
-		case Paxos:
-			cfg := paxos.Config{Cluster: cc, ID: id, InitialLeader: leader}
-			opts.paxosBatching(&cfg)
-			if opts.MutPaxos != nil {
-				opts.MutPaxos(&cfg)
-			}
-			rep = paxos.New(ep, cfg, nil)
-		case PigPaxos:
-			cfg := pigpaxos.Config{
-				Paxos:     paxos.Config{Cluster: cc, ID: id, InitialLeader: leader},
-				NumGroups: opts.NumGroups,
-			}
-			opts.paxosBatching(&cfg.Paxos)
-			if opts.ZoneGroups {
-				cfg.Strategy = pigpaxos.GroupByZone
-			}
-			if opts.MutPig != nil {
-				opts.MutPig(&cfg)
-			}
-			rep = pigpaxos.New(ep, cfg)
-		case EPaxos:
-			cfg := epaxos.Config{Cluster: cc, ID: id}
-			if opts.MutEPaxos != nil {
-				opts.MutEPaxos(&cfg)
-			}
-			rep = epaxos.New(ep, cfg)
-		}
-		tr.h = rep.OnMessage
-		replicas[id] = rep
-	}
-
-	// Clients: Paxos/PigPaxos clients talk to the leader; EPaxos clients
-	// spread over all replicas (§5.4: "a random node in EPaxos for each
-	// operation" — round-robin per client gives the same aggregate mix
-	// deterministically).
 	hist := metrics.NewHistogram()
 	var completed metrics.Counter
+	shardAcked := make([]metrics.Counter, d.plan.NumShards())
 	var series *metrics.TimeSeries
 	if opts.SampleWidth > 0 {
 		series = metrics.NewTimeSeries(opts.SampleWidth)
@@ -340,41 +315,40 @@ func Run(opts Options) Result {
 	warmupEnd := opts.Warmup
 	windowEnd := opts.Warmup + opts.Measure
 
+	// Paxos/PigPaxos clients talk to the leaders; EPaxos clients spread over
+	// all replicas (§5.4: "a random node in EPaxos for each operation" —
+	// round-robin per client gives the same aggregate mix
+	// deterministically).
 	clients := make([]*client, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
+	for i := range clients {
 		cl := &client{
-			id:        uint64(i + 1),
-			gen:       workload.New(opts.Workload, sim.Rand()),
-			hist:      hist,
-			series:    series,
-			completed: &completed,
-			warmupEnd: warmupEnd,
-			windowEnd: windowEnd,
+			id:         uint64(i + 1),
+			gen:        workload.New(opts.Workload, sim.Rand()),
+			plan:       d.plan,
+			to:         d.plan.Leaders(),
+			seqs:       make([]uint64, d.plan.NumShards()),
+			hist:       hist,
+			series:     series,
+			completed:  &completed,
+			shardAcked: shardAcked,
+			warmupEnd:  warmupEnd,
+			windowEnd:  windowEnd,
 		}
 		if opts.Protocol == EPaxos {
-			cl.targets = cc.Nodes
-			cl.rrIdx = i % len(cc.Nodes)
-		} else {
-			cl.targets = []ids.ID{leader}
+			cl.spread = cc.Nodes
+			cl.rr = i % len(cc.Nodes)
 		}
 		// Clients live in the leader's zone (the paper ran client VMs in
 		// the same region as the cluster under test), with node numbers
 		// far above any replica's.
-		cl.ep = net.Register(ids.NewID(cc.ZoneOf(leader), 1000+i), cl, true)
+		cl.ep = net.Register(ids.NewID(cc.ZoneOf(cc.Nodes[0]), 1000+i), cl, true)
 		clients[i] = cl
 	}
 
-	sim.Schedule(0, func() {
-		// Start in membership order: replicas is a map, and iteration order
-		// would otherwise leak scheduling nondeterminism into the run.
-		for _, id := range cc.Nodes {
-			replicas[id].Start()
-		}
-	})
+	d.start()
 	// Stagger client starts over a few milliseconds to avoid a thundering
 	// herd at t=0 (the real benchmark ramps up the same way).
 	for i, cl := range clients {
-		cl := cl
 		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.next)
 	}
 
@@ -403,21 +377,23 @@ func Run(opts Options) Result {
 		Latency:    hist.Snapshot(),
 		Messages:   net.MessagesSent(),
 	}
-	// Batching metrics come from the leader's decision core; EPaxos has no
+	// Batching metrics come from the leaders' decision cores; EPaxos has no
 	// leader and reports zeroes.
 	var pstats paxos.Stats
-	switch rep := replicas[leader].(type) {
-	case *paxos.Replica:
-		pstats = rep.Stats()
-	case *pigpaxos.Replica:
-		pstats = rep.Core().Stats()
+	for k, desc := range d.plan.Shards {
+		if c := core(d.replicas[k][desc.Leader]); c != nil {
+			st := c.Stats()
+			pstats.Batches += st.Batches
+			pstats.BatchedCmds += st.BatchedCmds
+			pstats.Executions += st.Executions
+		}
 	}
 	res.MeanBatchSize = pstats.MeanBatchSize()
 	if pstats.Executions > 0 {
 		res.MsgsPerCmd = float64(res.Messages) / float64(pstats.Executions)
 	}
 	wall := windowEnd.Seconds()
-	res.LeaderUtil = net.Endpoint(leader).BusyTotal().Seconds() / wall
+	res.LeaderUtil = net.Endpoint(cc.Nodes[0]).BusyTotal().Seconds() / wall
 	var fsum float64
 	for _, id := range cc.Nodes[1:] {
 		fsum += net.Endpoint(id).BusyTotal().Seconds() / wall
@@ -427,6 +403,16 @@ func Run(opts Options) Result {
 	}
 	if series != nil {
 		res.Series = series.Series()
+	}
+	for k, desc := range d.plan.Shards {
+		acked := int(shardAcked[k].Value())
+		res.PerShard = append(res.PerShard, ShardLoad{
+			Shard:      k,
+			Leader:     desc.Leader,
+			Acked:      acked,
+			Throughput: float64(acked) / opts.Measure.Seconds(),
+			LeaderUtil: net.Endpoint(desc.Leader).BusyTotal().Seconds() / wall,
+		})
 	}
 	return res
 }

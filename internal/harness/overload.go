@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"pigpaxos/internal/des"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
 	"pigpaxos/internal/metrics"
@@ -231,48 +230,33 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 	if opts.Rate <= 0 {
 		panic(fmt.Sprintf("harness: non-positive overload rate %v", opts.Rate))
 	}
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
-
-	overloadKnobs := func(cfg *paxos.Config) {
-		// paxosBatching lifts the ingress bound for closed-loop capacity
-		// runs; this experiment is the open-loop consumer that wants it.
+	if opts.Shards > 1 {
+		panic("harness: overload runs are unsharded")
+	}
+	// Admission control is forwarded to every decision core ahead of the
+	// caller's own tweaks: paxosBatching lifts the ingress bound for
+	// closed-loop capacity runs, and this open-loop experiment wants it.
+	admit := func(cfg *paxos.Config) {
 		cfg.MaxPending = opts.MaxPending
 		cfg.QueueTTL = opts.QueueTTL
 		cfg.OverloadLatency = opts.OverloadLatency
 	}
-
-	leader := cc.Nodes[0]
-	replicas := make(map[ids.ID]replica, opts.N)
-	for _, id := range cc.Nodes {
-		tr := &trampoline{}
-		ep := net.Register(id, tr, false)
-		var rep replica
-		switch opts.Protocol {
-		case PigPaxos:
-			cfg := pigpaxos.Config{
-				Paxos:     paxos.Config{Cluster: cc, ID: id, InitialLeader: leader},
-				NumGroups: opts.NumGroups,
-			}
-			opts.paxosBatching(&cfg.Paxos)
-			overloadKnobs(&cfg.Paxos)
-			if opts.MutPig != nil {
-				opts.MutPig(&cfg)
-			}
-			rep = pigpaxos.New(ep, cfg)
-		default: // Paxos; EPaxos has no leader ingress queue to bound
-			cfg := paxos.Config{Cluster: cc, ID: id, InitialLeader: leader}
-			opts.paxosBatching(&cfg)
-			overloadKnobs(&cfg)
-			if opts.MutPaxos != nil {
-				opts.MutPaxos(&cfg)
-			}
-			rep = paxos.New(ep, cfg, nil)
+	so := ScenarioOptions{Options: opts.Options}
+	so.MutPaxos = func(cfg *paxos.Config) {
+		admit(cfg)
+		if opts.MutPaxos != nil {
+			opts.MutPaxos(cfg)
 		}
-		tr.h = rep.OnMessage
-		replicas[id] = rep
 	}
+	so.MutPig = func(cfg *pigpaxos.Config) {
+		admit(&cfg.Paxos)
+		if opts.MutPig != nil {
+			opts.MutPig(cfg)
+		}
+	}
+	d := deploy(&so)
+	sim, cc, net := d.sim, d.cc, d.net
+	leader := cc.Nodes[0]
 
 	hist := metrics.NewHistogram()
 	var offered, completed, shed, busy, timeouts metrics.Counter
@@ -281,7 +265,7 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 	perRate := opts.Rate / float64(opts.Clients)
 
 	clients := make([]*olClient, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
+	for i := range clients {
 		cl := &olClient{
 			id:        uint64(i + 1),
 			target:    leader,
@@ -303,13 +287,8 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 		clients[i] = cl
 	}
 
-	sim.Schedule(0, func() {
-		for _, id := range cc.Nodes {
-			replicas[id].Start()
-		}
-	})
+	d.start()
 	for i, cl := range clients {
-		cl := cl
 		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.tick)
 	}
 
@@ -334,22 +313,14 @@ func RunOverload(opts OverloadOptions) OverloadResult {
 	sec := opts.Measure.Seconds()
 	res.Goodput = float64(res.Completed) / sec
 	res.OfferedRate = float64(res.Offered) / sec
-	for _, id := range cc.Nodes {
-		var st paxos.Stats
-		switch r := replicas[id].(type) {
-		case *paxos.Replica:
-			st = r.Stats()
-		case *pigpaxos.Replica:
-			st = r.Core().Stats()
-		default:
-			continue
+	d.each(func(k int, id ids.ID, rep replica) {
+		if c := core(rep); c != nil {
+			st := c.Stats()
+			res.LeaderBusy += st.Busy
+			res.DroppedExpired += st.DroppedExpired
+			res.MaxQueueDepth = max(res.MaxQueueDepth, st.MaxQueueDepth)
 		}
-		res.LeaderBusy += st.Busy
-		res.DroppedExpired += st.DroppedExpired
-		if st.MaxQueueDepth > res.MaxQueueDepth {
-			res.MaxQueueDepth = st.MaxQueueDepth
-		}
-	}
+	})
 	return res
 }
 

@@ -14,8 +14,6 @@ import (
 	"time"
 
 	"pigpaxos/internal/chaos"
-	"pigpaxos/internal/config"
-	"pigpaxos/internal/des"
 	"pigpaxos/internal/epaxos"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
@@ -23,9 +21,7 @@ import (
 	"pigpaxos/internal/metrics"
 	"pigpaxos/internal/netsim"
 	"pigpaxos/internal/node"
-	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pigpaxos"
-	"pigpaxos/internal/wal"
+	"pigpaxos/internal/shard"
 	"pigpaxos/internal/wire"
 )
 
@@ -53,7 +49,7 @@ type ScenarioOptions struct {
 	// to that floor.
 	ProbeKeys int
 	// ClientRetry is how long a client waits for a reply before re-sending
-	// its command to the next live node in sorted ID order (masking
+	// its command to the next node of the op's shard (masking
 	// crashed leaders — or crashed EPaxos command leaders — and lost
 	// messages; every protocol's replicated at-most-once session table
 	// absorbs the duplicates). Defaults to 120ms.
@@ -71,12 +67,13 @@ type ScenarioOptions struct {
 	// RegionPartition maroons the cut region's clients along with its
 	// replicas.
 	RegionClients bool
-	// Durable gives every Paxos/PigPaxos replica a wal.MemStorage journal:
-	// promises and accepts fsync before the corresponding vote leaves,
-	// snapshots checkpoint the state machine, and the Restart/TornTail/
-	// DiskSlow chaos families go live (the scenario resolver implements
-	// chaos.Rebooter and chaos.DiskFaulter). EPaxos has no durable path, so
-	// restart actions against it skip deterministically.
+	// Durable gives every Paxos/PigPaxos replica (one per hosted shard) a
+	// wal.MemStorage journal: promises and accepts fsync before the
+	// corresponding vote leaves, snapshots checkpoint the state machine, and
+	// the Restart/TornTail/DiskSlow chaos families go live (only durable
+	// deployments implement chaos.Rebooter and chaos.DiskFaulter). EPaxos
+	// has no durable path, so restart actions against it skip
+	// deterministically.
 	Durable bool
 	// SnapshotEvery is the per-replica checkpoint cadence in executed
 	// commands (default 64 when Durable).
@@ -199,6 +196,9 @@ type ScenarioResult struct {
 	// Regions breaks the measurement down by client region (ascending
 	// zone), populated when RegionClients is set on a multi-zone cluster.
 	Regions []RegionResult
+	// PerShard breaks availability down by shard (one entry when
+	// unsharded).
+	PerShard []ShardSlice
 
 	// FaultLog lists the executed fault actions with resolved targets.
 	FaultLog []chaos.Applied
@@ -241,31 +241,34 @@ func (r ScenarioResult) String() string {
 }
 
 // scenClient is a scenario client: a closed-loop client with a fixed script
-// whose every completed operation is recorded into the shared history. On
-// silence it re-sends to the next node round-robin (same ClientID/Seq, so
-// session tables dedup), masking crashed leaders the way a real client
-// library would.
+// whose every completed operation is recorded into the shared history. Each
+// op routes by key to its shard, with one at-most-once session per shard. On
+// silence it re-sends to the shard's next target round-robin (same
+// ClientID/Seq, so session tables dedup), masking crashed leaders the way a
+// real client library would.
 type scenClient struct {
 	id      uint64
 	ep      *netsim.Endpoint
-	targets []ids.ID
-	rr      int
+	plan    shard.Map
+	targets [][]ids.ID    // per shard, retry order (shared across clients)
+	rr      []int         // per-shard target cursor
 	retry   time.Duration // silence timeout before re-sending (0 disables)
 
 	script  []kvstore.Command
 	pos     int
-	seq     uint64
+	seqs    []uint64
 	started time.Duration
 	timer   node.Timer
 	think   time.Duration
 	// awaiting is true from issue until the op's ack is accepted; replies
 	// arriving outside that window (duplicates of an accepted ack) are
-	// dropped even though c.seq has not advanced yet.
+	// dropped even though the op's seq is still current.
 	awaiting bool
 	done     bool
 
 	hist      *linearizability.History
 	gaps      *metrics.GapTracker
+	shardGaps []*metrics.GapTracker
 	lat       *metrics.Histogram
 	inWindow  *metrics.Counter
 	busy      *metrics.Counter
@@ -285,24 +288,29 @@ func (c *scenClient) stopTimer() {
 	}
 }
 
+// shard returns the current op's shard.
+func (c *scenClient) shard() int { return c.plan.Router.Shard(c.script[c.pos].Key) }
+
+// send issues the current op to its shard's current target.
+func (c *scenClient) send(k int) {
+	t := c.targets[k]
+	c.ep.Send(t[c.rr[k]%len(t)], request(c.plan, k, c.script[c.pos]))
+}
+
 func (c *scenClient) armRetry() {
 	if c.retry <= 0 {
 		return
 	}
-	seq := c.seq
+	pos := c.pos
 	c.timer = c.ep.After(c.retry, func() {
-		if c.done || !c.awaiting || c.seq != seq {
+		if c.done || !c.awaiting || c.pos != pos {
 			return
 		}
-		c.resend()
+		k := c.shard()
+		c.rr[k]++
+		c.send(k)
 		c.armRetry()
 	})
-}
-
-// resend re-issues the current command to the next target round-robin.
-func (c *scenClient) resend() {
-	c.rr++
-	c.ep.Send(c.targets[c.rr%len(c.targets)], wire.Request{Cmd: c.script[c.pos]})
 }
 
 func (c *scenClient) next() {
@@ -311,14 +319,13 @@ func (c *scenClient) next() {
 		c.done = true
 		return
 	}
-	cmd := c.script[c.pos]
-	c.seq++
-	cmd.ClientID = c.id
-	cmd.Seq = c.seq
-	c.script[c.pos] = cmd
+	k := c.shard()
+	c.seqs[k]++
+	c.script[c.pos].ClientID = c.id
+	c.script[c.pos].Seq = c.seqs[k]
 	c.started = c.ep.Now()
 	c.awaiting = true
-	c.ep.Send(c.targets[c.rr%len(c.targets)], wire.Request{Cmd: cmd})
+	c.send(k)
 	c.armRetry()
 }
 
@@ -326,46 +333,53 @@ func (c *scenClient) next() {
 // backpressure honored with a paced retry, silence handled by the retry
 // timer.
 func (c *scenClient) OnMessage(from ids.ID, m wire.Msg) {
+	if c.done || !c.awaiting {
+		// A duplicate of an already-accepted ack: faulty links duplicate
+		// replies, and between accepting an ack and the paced next() call
+		// the op's seq is still current — the awaiting flag is what makes
+		// the second copy inert.
+		return
+	}
+	m, k := unwrap(m)
+	if k != c.shard() {
+		return
+	}
+	cmd := c.script[c.pos]
 	if busy, ok := m.(wire.Busy); ok {
-		if c.done || !c.awaiting || busy.Seq != c.seq {
+		if busy.Seq != cmd.Seq {
 			return
 		}
 		c.busy.Inc()
 		// Back off for the hinted interval, then re-issue the same command
 		// at the (still-leading) rejecting node. The retry timer stays armed
 		// as the fallback if the leader changes meanwhile.
-		seq := c.seq
+		pos := c.pos
 		c.ep.After(busy.RetryAfter, func() {
-			if c.done || !c.awaiting || c.seq != seq {
+			if c.done || !c.awaiting || c.pos != pos {
 				return
 			}
-			c.ep.Send(busy.Leader, wire.Request{Cmd: c.script[c.pos]})
+			c.ep.Send(busy.Leader, request(c.plan, k, cmd))
 		})
 		return
 	}
 	rep, ok := m.(wire.Reply)
-	if !ok || !c.awaiting || rep.Seq != c.seq || c.done {
-		// Stale seq, or a duplicate of an already-accepted ack: faulty
-		// links duplicate replies, and between accepting an ack and the
-		// paced next() call c.seq has not advanced yet — the awaiting flag
-		// is what makes the second copy inert.
+	if !ok || rep.Seq != cmd.Seq {
 		return
 	}
 	if !rep.OK {
 		if !rep.Leader.IsZero() {
 			// Redirected: aim subsequent sends at the hinted leader.
-			for i, t := range c.targets {
+			for i, t := range c.targets[k] {
 				if t == rep.Leader {
-					c.rr = i
+					c.rr[k] = i
 					break
 				}
 			}
-			c.ep.Send(rep.Leader, wire.Request{Cmd: c.script[c.pos]})
+			c.ep.Send(rep.Leader, request(c.plan, k, cmd))
 		}
 		// No hint: wait for the retry timer rather than hot-loop.
 		return
 	}
-	cmd := c.script[c.pos]
 	now := c.ep.Now()
 	c.awaiting = false
 	op := linearizability.Op{
@@ -385,6 +399,7 @@ func (c *scenClient) OnMessage(from ids.ID, m wire.Msg) {
 	}
 	c.hist.Add(op)
 	c.gaps.Record(now)
+	c.shardGaps[k].Record(now)
 	c.lat.Observe(now - c.started)
 	if c.rgaps != nil {
 		c.rgaps.Record(now)
@@ -423,229 +438,26 @@ func scenScript(ci, ops, keys int) []kvstore.Command {
 	return out
 }
 
-// liveResolver resolves dynamic chaos targets from live protocol state.
-type liveResolver struct {
-	cc       config.Cluster
-	net      *netsim.Network
-	replicas map[ids.ID]replica
-}
-
-// durableResolver layers reboot and disk-fault capabilities over the live
-// resolver. Only durable deployments get one, so on volatile runs the
-// injector's chaos.Rebooter/DiskFaulter type assertions fail and restart
-// schedules skip deterministically without ever crashing the node.
-type durableResolver struct {
-	*liveResolver
-	env *rebootEnv
-}
-
-// rebootEnv is everything needed to tear a node down and rebuild its
-// protocol stack from persisted state alone.
-type rebootEnv struct {
-	storages map[ids.ID]*wal.MemStorage
-	tramps   map[ids.ID]*trampoline
-	rebuild  func(id ids.ID) replica
-	baseSync time.Duration
-}
-
-// Reboot implements chaos.Rebooter: power-loss semantics (unsynced journal
-// appends dropped, optionally a torn final frame), then a fresh replica
-// recovering from snapshot + WAL tail takes over the node's endpoint.
-func (dr *durableResolver) Reboot(id ids.ID, torn bool) bool {
-	env := dr.env
-	st, tr := env.storages[id], env.tramps[id]
-	if st == nil || tr == nil {
-		return false
-	}
-	st.Crash() // whatever was never fsynced is gone
-	if torn {
-		st.TearTail()
-	}
-	// Epoch bump first: timers the old incarnation armed must never fire
-	// into the new one, and the fresh replica's Start() timers must.
-	dr.net.Reboot(id, tr)
-	rep := env.rebuild(id)
-	tr.h = rep.OnMessage
-	dr.replicas[id] = rep
-	rep.Start()
-	return true
-}
-
-// SetDiskSync implements chaos.DiskFaulter. lat <= 0 restores the
-// scenario's baseline fsync cost.
-func (dr *durableResolver) SetDiskSync(id ids.ID, lat time.Duration) {
-	if st := dr.env.storages[id]; st != nil {
-		if lat <= 0 {
-			lat = dr.env.baseSync
-		}
-		st.SetSyncCost(lat)
-	}
-}
-
-// Leader implements chaos.Resolver: the first replica (membership order)
-// that believes it leads. EPaxos is leaderless — every replica is command
-// leader for its own clients — so a leader-targeted fault resolves to the
-// first live replica in membership order: a deterministic "crash a command
-// leader mid-flight", which is exactly what Explicit Prepare recovery must
-// absorb.
-func (lr *liveResolver) Leader() ids.ID {
-	for _, id := range lr.cc.Nodes {
-		switch r := lr.replicas[id].(type) {
-		case *paxos.Replica:
-			if r.IsLeader() {
-				return id
-			}
-		case *pigpaxos.Replica:
-			if r.Core().IsLeader() {
-				return id
-			}
-		case *epaxos.Replica:
-			if !lr.net.Crashed(id) {
-				return id
-			}
-		}
-	}
-	return 0
-}
-
-// Relay implements chaos.Resolver: the relay the current PigPaxos leader
-// last drew for group g, falling back to the group's first member before
-// any fan-out has happened.
-func (lr *liveResolver) Relay(g int) ids.ID {
-	leader := lr.Leader()
-	if leader.IsZero() {
-		return 0
-	}
-	pr, ok := lr.replicas[leader].(*pigpaxos.Replica)
-	if !ok {
-		return 0
-	}
-	if relay := pr.LastRelay(g); !relay.IsZero() {
-		return relay
-	}
-	layout := pr.Layout()
-	if g >= 0 && g < layout.NumGroups() && len(layout.Groups[g]) > 0 {
-		return layout.Groups[g][0]
-	}
-	return 0
-}
-
-// CampaignFrom implements chaos.Placer: the first live replica in the zone
-// (membership order) bids for leadership. EPaxos is leaderless, so placement
-// flips resolve to nobody and are skipped.
-func (lr *liveResolver) CampaignFrom(zone int) ids.ID {
-	for _, id := range lr.cc.Nodes {
-		if lr.cc.ZoneOf(id) != zone || lr.net.Crashed(id) {
-			continue
-		}
-		switch r := lr.replicas[id].(type) {
-		case *paxos.Replica:
-			r.Campaign()
-			return id
-		case *pigpaxos.Replica:
-			r.Core().Campaign()
-			return id
-		}
-	}
-	return 0
-}
-
 // RunScenario executes one protocol run under the fault schedule and returns
 // measurements plus the correctness verdicts. Schedule times are absolute
-// virtual times (the measurement window starts at opts.Warmup).
+// virtual times (the measurement window starts at opts.Warmup). On a sharded
+// run every completed operation lands in the one shared history (per-key
+// linearizability holds whichever shard served the key), and each shard's
+// availability is tracked separately so a fault's blast radius is
+// measurable per shard.
 func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 	opts.applyDefaults()
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
-
-	leader := cc.Nodes[0]
-	replicas := make(map[ids.ID]replica, opts.N)
-	stores := make(map[ids.ID]*kvstore.Store, opts.N)
-	tramps := make(map[ids.ID]*trampoline, opts.N)
-	endpoints := make(map[ids.ID]*netsim.Endpoint, opts.N)
-	durable := opts.Durable && opts.Protocol != EPaxos
-	var storages map[ids.ID]*wal.MemStorage
-	if durable {
-		storages = make(map[ids.ID]*wal.MemStorage, opts.N)
-		for _, id := range cc.Nodes {
-			st := wal.NewMem()
-			st.SetSyncCost(opts.SyncCost)
-			storages[id] = st
-		}
-	}
-	// build constructs one node's protocol stack. It runs once per node at
-	// boot and again on every chaos Restart — a rebuilt replica gets the
-	// node's surviving storage and nothing else, so recovery is honest. It
-	// refreshes the stores map: convergence checks must read the live
-	// incarnation's state machine, not a dead one's.
-	build := func(id ids.ID) replica {
-		ep := endpoints[id]
-		var rep replica
-		switch opts.Protocol {
-		case Paxos:
-			cfg := paxos.Config{
-				Cluster: cc, ID: id, InitialLeader: leader,
-				ElectionTimeout: opts.ElectionTimeout,
-				RetryTimeout:    100 * time.Millisecond, // mask schedule-injected loss
-			}
-			opts.paxosBatching(&cfg)
-			if durable {
-				cfg.Storage = storages[id]
-				cfg.SnapshotEvery = opts.SnapshotEvery
-			}
-			if opts.MutPaxos != nil {
-				opts.MutPaxos(&cfg)
-			}
-			r := paxos.New(ep, cfg, nil)
-			stores[id] = r.Store()
-			rep = r
-		case PigPaxos:
-			cfg := pigpaxos.Config{
-				Paxos: paxos.Config{
-					Cluster: cc, ID: id, InitialLeader: leader,
-					ElectionTimeout: opts.ElectionTimeout,
-				},
-				NumGroups: opts.NumGroups,
-			}
-			opts.paxosBatching(&cfg.Paxos)
-			if durable {
-				cfg.Paxos.Storage = storages[id]
-				cfg.Paxos.SnapshotEvery = opts.SnapshotEvery
-			}
-			if opts.ZoneGroups {
-				cfg.Strategy = pigpaxos.GroupByZone
-			}
-			if opts.MutPig != nil {
-				opts.MutPig(&cfg)
-			}
-			r := pigpaxos.New(ep, cfg)
-			stores[id] = r.Core().Store()
-			rep = r
-		case EPaxos:
-			cfg := epaxos.Config{Cluster: cc, ID: id}
-			if opts.MutEPaxos != nil {
-				opts.MutEPaxos(&cfg)
-			}
-			r := epaxos.New(ep, cfg)
-			stores[id] = r.Store()
-			rep = r
-		}
-		return rep
-	}
-	for _, id := range cc.Nodes {
-		tr := &trampoline{}
-		endpoints[id] = net.Register(id, tr, false)
-		tramps[id] = tr
-		rep := build(id)
-		tr.h = rep.OnMessage
-		replicas[id] = rep
-	}
+	d := deploy(&opts)
+	sim, cc, net, plan := d.sim, d.cc, d.net, d.plan
 
 	hist := &linearizability.History{}
 	gaps := &metrics.GapTracker{}
 	lat := metrics.NewHistogram()
 	var inWindow, busyCount metrics.Counter
+	shardGaps := make([]*metrics.GapTracker, plan.NumShards())
+	for k := range shardGaps {
+		shardGaps[k] = &metrics.GapTracker{}
+	}
 	warmupEnd := opts.Warmup
 	windowEnd := opts.Warmup + opts.Measure
 
@@ -666,41 +478,52 @@ func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 		}
 	}
 
-	// EPaxos clients home round-robin over the membership in sorted ID
-	// order, so a dead home replica's pending requests move to the next
-	// live replica deterministically — sorted ID order, never map order.
-	// Leader-based protocols keep membership order, which starts at the
-	// initial leader.
-	targets := cc.Nodes
+	// Per-shard retry targets: members with the planned leader first, the
+	// rest in membership order. EPaxos clients home round-robin over the
+	// membership in sorted ID order, so a dead home replica's pending
+	// requests move to the next live replica deterministically — sorted ID
+	// order, never map order.
+	targets := make([][]ids.ID, plan.NumShards())
+	for k, desc := range plan.Shards {
+		targets[k] = append(targets[k], desc.Leader)
+		for _, id := range desc.Members {
+			if id != desc.Leader {
+				targets[k] = append(targets[k], id)
+			}
+		}
+	}
 	if opts.Protocol == EPaxos {
-		targets = append([]ids.ID(nil), cc.Nodes...)
-		ids.Sort(targets)
+		ids.Sort(targets[0])
 	}
 
 	clients := make([]*scenClient, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
+	for i := range clients {
 		cl := &scenClient{
 			id:        uint64(i + 1),
+			plan:      plan,
+			targets:   targets,
+			rr:        make([]int, plan.NumShards()),
+			retry:     opts.ClientRetry,
 			script:    scenScript(i, opts.OpsPerClient, opts.ProbeKeys),
+			seqs:      make([]uint64, plan.NumShards()),
+			think:     opts.ThinkTime,
 			hist:      hist,
 			gaps:      gaps,
+			shardGaps: shardGaps,
 			lat:       lat,
 			inWindow:  &inWindow,
 			busy:      &busyCount,
 			warmupEnd: warmupEnd,
 			windowEnd: windowEnd,
-			retry:     opts.ClientRetry,
-			think:     opts.ThinkTime,
-			targets:   targets,
 		}
 		if opts.Protocol == EPaxos {
 			// Every replica serves in EPaxos: home clients round-robin
 			// over the whole membership (§5.4's client model). Crashed
 			// homes are masked by the retry timer, duplicate admissions by
 			// the replicated session tables.
-			cl.rr = i % len(targets)
+			cl.rr[0] = i % len(targets[0])
 		}
-		home := cc.ZoneOf(leader)
+		home := cc.ZoneOf(cc.Nodes[0])
 		if zones != nil {
 			home = zones[i%len(zones)]
 			cl.rgaps = regionGaps[home]
@@ -711,89 +534,66 @@ func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 		clients[i] = cl
 	}
 
-	var resolver chaos.Resolver = &liveResolver{cc: cc, net: net, replicas: replicas}
-	if durable {
-		resolver = &durableResolver{
-			liveResolver: resolver.(*liveResolver),
-			env: &rebootEnv{
-				storages: storages,
-				tramps:   tramps,
-				rebuild:  build,
-				baseSync: opts.SyncCost,
-			},
-		}
-	}
-	injector := chaos.Apply(sim, net, sched, resolver)
-
-	sim.Schedule(0, func() {
-		for _, id := range cc.Nodes {
-			replicas[id].Start()
-		}
-	})
-	for i, cl := range clients {
-		cl := cl
-		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.next)
-	}
-
-	sim.Run(windowEnd)
-	// Drain: give scripts and convergence (watermarks, catch-up) time to
-	// finish, in slices so a finished run stops early.
-	drainEnd := windowEnd + opts.Drain
-	for sim.Now() < drainEnd {
-		allDone := true
+	allDone := func() bool {
 		for _, cl := range clients {
 			if !cl.done {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-		next := sim.Now() + 100*time.Millisecond
-		if next > drainEnd {
-			next = drainEnd
-		}
-		sim.Run(next)
-	}
-	// Converge tail: heartbeat watermarks, catch-up replies and EPaxos
-	// commit-floor anti-entropy flush. Runs that are already converged
-	// after the fixed 500ms stop there (identical to the historical
-	// behavior); stragglers get extra slices while the recovery machinery
-	// — whose WAN-scale periods exceed half a second — finishes teaching
-	// them, bounded by an additional budget.
-	converged := func() bool {
-		first := stores[cc.Nodes[0]]
-		for _, id := range cc.Nodes[1:] {
-			st := stores[id]
-			if st.Checksum() != first.Checksum() || st.Applied() != first.Applied() {
-				return false
-			}
-		}
-		for _, id := range cc.Nodes {
-			if er, ok := replicas[id].(*epaxos.Replica); ok && er.Unexecuted() > 0 {
 				return false
 			}
 		}
 		return true
 	}
-	sim.Run(sim.Now() + 500*time.Millisecond)
-	for end := sim.Now() + 4*time.Second; sim.Now() < end && !converged(); {
-		sim.Run(sim.Now() + 250*time.Millisecond)
+
+	// Scripted clients are closed-loop ACROSS shards: one stuck on a crashed
+	// shard stops offering load to healthy ones, which would read as a stall
+	// there. One availability probe per shard decouples the measurement,
+	// reading dedicated keys above the scripted keyspace at a cadence well
+	// under the stall threshold. A single shard needs none.
+	var probes []*shardProbe
+	for k := range plan.Shards {
+		if plan.NumShards() == 1 {
+			break
+		}
+		pr := &shardProbe{
+			id:       uint64(opts.Clients + 1 + k),
+			shardIdx: k,
+			keys:     probeKeys(plan.Router, k, 8, uint64(opts.ProbeKeys)),
+			targets:  targets[k],
+			retry:    opts.ClientRetry,
+			interval: 25 * time.Millisecond,
+			gaps:     shardGaps[k],
+			done:     allDone,
+		}
+		pr.ep = net.Register(ids.NewID(cc.ZoneOf(cc.Nodes[0]), 2000+k), pr, true)
+		probes = append(probes, pr)
 	}
 
+	injector := chaos.Apply(sim, net, sched, d.resolver())
+
+	d.start()
+	for i, cl := range clients {
+		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.next)
+	}
+	for k, pr := range probes {
+		sim.Schedule(time.Duration(k)*75*time.Microsecond+time.Millisecond, pr.next)
+	}
+
+	sim.Run(windowEnd)
+	d.drain(windowEnd, allDone)
+
 	res := ScenarioResult{
-		Protocol:   opts.Protocol,
-		N:          opts.N,
-		Clients:    opts.Clients,
-		Acked:      gaps.Count(),
-		Throughput: float64(inWindow.Value()) / opts.Measure.Seconds(),
-		Busy:       int(busyCount.Value()),
-		Latency:    lat.Snapshot(),
-		Messages:   net.MessagesSent(),
-		Delivered:  net.MessagesDelivered(),
-		Dropped:    net.MessagesDropped(),
-		FaultLog:   injector.Log(),
+		Protocol:    opts.Protocol,
+		N:           opts.N,
+		Clients:     opts.Clients,
+		Acked:       gaps.Count(),
+		Throughput:  float64(inWindow.Value()) / opts.Measure.Seconds(),
+		Busy:        int(busyCount.Value()),
+		Latency:     lat.Snapshot(),
+		Messages:    net.MessagesSent(),
+		Delivered:   net.MessagesDelivered(),
+		Dropped:     net.MessagesDropped(),
+		FaultLog:    injector.Log(),
+		AllComplete: allDone(),
+		Converged:   true,
 	}
 	res.GapStart, res.AvailabilityGap = gaps.MaxGap()
 	for _, z := range zones {
@@ -807,60 +607,42 @@ func RunScenario(opts ScenarioOptions, sched chaos.Schedule) ScenarioResult {
 		rr.GapStart, rr.AvailabilityGap = regionGaps[z].MaxGap()
 		res.Regions = append(res.Regions, rr)
 	}
+	for k, desc := range plan.Shards {
+		sl := ShardSlice{
+			Shard:     k,
+			Members:   desc.Members,
+			Leader:    desc.Leader,
+			Acked:     shardGaps[k].Count(),
+			Stalls:    shardGaps[k].GapsOver(regionStallThreshold),
+			Converged: d.shardConverged(k),
+		}
+		sl.GapStart, sl.AvailabilityGap = shardGaps[k].MaxGap()
+		res.Converged = res.Converged && sl.Converged
+		res.PerShard = append(res.PerShard, sl)
+	}
 	if len(sched) > 0 {
 		res.FirstFaultAt = sched.FirstFaultAt()
 		if at, ok := gaps.FirstAfter(res.FirstFaultAt); ok {
 			res.RecoveryLatency = at - res.FirstFaultAt
 		}
 	}
-	res.AllComplete = true
-	for _, cl := range clients {
-		if !cl.done {
-			res.AllComplete = false
+	d.each(func(k int, id ids.ID, rep replica) {
+		c := core(rep)
+		if c == nil {
+			res.Unrecovered += rep.(*epaxos.Replica).Unexecuted()
+			return
 		}
-	}
-	res.Converged = true
-	first := stores[cc.Nodes[0]]
-	for _, id := range cc.Nodes[1:] {
-		st := stores[id]
-		if st.Checksum() != first.Checksum() || st.Applied() != first.Applied() {
-			res.Converged = false
-		}
-	}
-	for _, id := range cc.Nodes {
-		if er, ok := replicas[id].(*epaxos.Replica); ok {
-			res.Unrecovered += er.Unexecuted()
-		}
-	}
-	for _, id := range cc.Nodes {
-		var st paxos.Stats
-		var logLen int
-		switch r := replicas[id].(type) {
-		case *paxos.Replica:
-			st = r.Stats()
-			logLen = r.Log().Len()
-		case *pigpaxos.Replica:
-			st = r.Core().Stats()
-			logLen = r.Core().Log().Len()
-		default:
-			continue
-		}
+		st := c.Stats()
 		res.WALSyncs += st.WALSyncs
 		res.Snapshots += st.Snapshots
 		res.SnapRestores += st.SnapRestores
 		res.DroppedExpired += st.DroppedExpired
-		if st.MaxQueueDepth > res.MaxQueueDepth {
-			res.MaxQueueDepth = st.MaxQueueDepth
+		res.MaxQueueDepth = max(res.MaxQueueDepth, st.MaxQueueDepth)
+		res.MaxLogLen = max(res.MaxLogLen, c.Log().Len())
+		if d.storages != nil {
+			res.MaxWALBytes = max(res.MaxWALBytes, d.storages[k][id].Bytes())
 		}
-		if logLen > res.MaxLogLen {
-			res.MaxLogLen = logLen
-		}
-		if durable {
-			if b := storages[id].Bytes(); b > res.MaxWALBytes {
-				res.MaxWALBytes = b
-			}
-		}
-	}
+	})
 	for _, a := range res.FaultLog {
 		if a.Kind == chaos.Reboot {
 			res.Reboots++

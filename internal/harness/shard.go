@@ -1,249 +1,23 @@
-// Sharded harness: runs S independent consensus groups multiplexed over one
-// simulated cluster and measures aggregate scaling — the "many groups behind
-// a key router" axis that lifts the single-log serialization ceiling PigPaxos
-// itself cannot (§7's scalability discussion: relay fan-out removes the
-// leader's communication bottleneck, sharding removes the sequencing one).
-//
-// Every physical node keeps ONE netsim endpoint and ONE event loop; each
-// shard's replica runs under a shard.Wrap context so its traffic rides
-// Sharded envelopes, and a shard.Dispatcher demultiplexes inbound messages.
-// The shards therefore share the DES clock and each node's virtual CPU:
-// multiplexing is paid for honestly in the cost model.
+// Sharded measurements: per-shard result slices, the availability probe a
+// sharded scenario runs per shard, and the shard-count sweep. Sharding
+// multiplexes S independent consensus groups over one simulated cluster —
+// the "many groups behind a key router" axis that lifts the single-log
+// serialization ceiling PigPaxos itself cannot (§7's scalability
+// discussion: relay fan-out removes the leader's communication bottleneck,
+// sharding removes the sequencing one). deploy.go brings the groups up.
 package harness
 
 import (
 	"time"
 
-	"pigpaxos/internal/chaos"
-	"pigpaxos/internal/config"
-	"pigpaxos/internal/des"
 	"pigpaxos/internal/ids"
 	"pigpaxos/internal/kvstore"
-	"pigpaxos/internal/linearizability"
 	"pigpaxos/internal/metrics"
 	"pigpaxos/internal/netsim"
 	"pigpaxos/internal/node"
-	"pigpaxos/internal/paxos"
-	"pigpaxos/internal/pigpaxos"
 	"pigpaxos/internal/shard"
 	"pigpaxos/internal/wire"
-	"pigpaxos/internal/workload"
 )
-
-// ShardedOptions parameterize a sharded run. The embedded ScenarioOptions
-// configure everything a single-group scenario would; Shards adds the
-// partitioning.
-type ShardedOptions struct {
-	ScenarioOptions
-
-	// Shards is the number of independent consensus groups (default 1).
-	Shards int
-	// ShardSize fixes each group's member count; 0 picks max(3, N/Shards):
-	// disjoint groups when the cluster divides evenly — the layout where
-	// each leader pays no follower duty for other shards and scaling is
-	// near-linear — graceful overlap otherwise.
-	ShardSize int
-	// ZoneLatency optionally seeds leader placement from a per-region
-	// latency signal (the WAN harness's per-region client RTTs): shard
-	// leaders prefer the lowest-latency zone among their members
-	// (shard.PlanPlaced). Nil keeps duty-spreading placement.
-	ZoneLatency map[int]time.Duration
-}
-
-func (o *ShardedOptions) applyDefaults() {
-	if o.N == 0 {
-		o.N = 12
-	}
-	if o.Clients == 0 {
-		o.Clients = 48
-	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	o.ScenarioOptions.applyDefaults()
-}
-
-// plan computes the sharding layout the options select.
-func (o *ShardedOptions) plan(cc config.Cluster) shard.Map {
-	if len(o.ZoneLatency) > 0 {
-		return shard.PlanPlaced(cc, o.Shards, o.ShardSize, o.ZoneLatency)
-	}
-	return shard.Plan(cc, o.Shards, o.ShardSize)
-}
-
-// subCluster restricts cc to one shard's membership, keeping the topology.
-func subCluster(cc config.Cluster, members []ids.ID) config.Cluster {
-	return config.Cluster{
-		Nodes:   append([]ids.ID(nil), members...),
-		Zones:   cc.Zones,
-		Latency: cc.Latency,
-		Addrs:   cc.Addrs,
-	}
-}
-
-// shardedReplicas builds the full replica matrix: per shard, per member, one
-// protocol instance running under a shard-tagged context, demultiplexed by a
-// per-node Dispatcher installed as the node's single wire handler. Sharded
-// runs support the leader-based protocols (Paxos, PigPaxos); EPaxos'
-// leaderless instance space is orthogonal to key-space sharding.
-func shardedReplicas(
-	opts *ShardedOptions, net *netsim.Network, cc config.Cluster, plan shard.Map,
-	scenario bool,
-) (replicas []map[ids.ID]replica, stores []map[ids.ID]*kvstore.Store) {
-	if opts.Protocol != Paxos && opts.Protocol != PigPaxos {
-		panic("harness: sharded runs support Paxos and PigPaxos")
-	}
-	dispatchers := make(map[ids.ID]*shard.Dispatcher, len(cc.Nodes))
-	endpoints := make(map[ids.ID]*netsim.Endpoint, len(cc.Nodes))
-	for _, id := range cc.Nodes {
-		d := shard.NewDispatcher(plan.NumShards())
-		dispatchers[id] = d
-		endpoints[id] = net.Register(id, d, false)
-	}
-	replicas = make([]map[ids.ID]replica, plan.NumShards())
-	stores = make([]map[ids.ID]*kvstore.Store, plan.NumShards())
-	for k, desc := range plan.Shards {
-		replicas[k] = make(map[ids.ID]replica, len(desc.Members))
-		stores[k] = make(map[ids.ID]*kvstore.Store, len(desc.Members))
-		sub := subCluster(cc, desc.Members)
-		for _, id := range desc.Members {
-			ctx := shard.Wrap(endpoints[id], k)
-			pcfg := paxos.Config{Cluster: sub, ID: id, InitialLeader: desc.Leader}
-			if scenario {
-				pcfg.ElectionTimeout = opts.ElectionTimeout
-				pcfg.RetryTimeout = 100 * time.Millisecond
-			}
-			opts.paxosBatching(&pcfg)
-			var rep replica
-			var st *kvstore.Store
-			switch opts.Protocol {
-			case Paxos:
-				if opts.MutPaxos != nil {
-					opts.MutPaxos(&pcfg)
-				}
-				r := paxos.New(ctx, pcfg, nil)
-				rep, st = r, r.Store()
-			case PigPaxos:
-				// Clamp the relay fan-out to the sub-group: r relay groups
-				// need at least r followers.
-				ng := opts.NumGroups
-				if max := len(desc.Members) - 1; ng > max {
-					ng = max
-				}
-				if ng < 1 {
-					ng = 1
-				}
-				cfg := pigpaxos.Config{Paxos: pcfg, NumGroups: ng}
-				if opts.ZoneGroups {
-					cfg.Strategy = pigpaxos.GroupByZone
-				}
-				if opts.MutPig != nil {
-					opts.MutPig(&cfg)
-				}
-				r := pigpaxos.New(ctx, cfg)
-				rep, st = r, r.Core().Store()
-			}
-			dispatchers[id].Register(k, &trampoline{h: rep.OnMessage})
-			replicas[k][id] = rep
-			stores[k][id] = st
-		}
-	}
-	return replicas, stores
-}
-
-// startSharded schedules every replica's start at t=0 in (shard, membership)
-// order — map iteration would leak scheduling nondeterminism.
-func startSharded(sim *des.Sim, plan shard.Map, replicas []map[ids.ID]replica) {
-	sim.Schedule(0, func() {
-		for k, desc := range plan.Shards {
-			for _, id := range desc.Members {
-				replicas[k][id].Start()
-			}
-		}
-	})
-}
-
-// unwrapReply extracts a Reply from a possibly shard-tagged message,
-// reporting which shard carried it (0 for untagged).
-func unwrapReply(m wire.Msg) (wire.Reply, int, bool) {
-	switch sm := m.(type) {
-	case *wire.Sharded:
-		m = sm.Inner
-		if rep, ok := m.(wire.Reply); ok {
-			return rep, int(sm.Shard), true
-		}
-	case wire.Sharded:
-		m = sm.Inner
-		if rep, ok := m.(wire.Reply); ok {
-			return rep, int(sm.Shard), true
-		}
-	default:
-		if rep, ok := m.(wire.Reply); ok {
-			return rep, 0, true
-		}
-	}
-	return wire.Reply{}, 0, false
-}
-
-// shardClient is the closed-loop benchmark client of a sharded run: one
-// request in flight, each routed by key to its shard's leader, with one
-// at-most-once session (independent sequence counter) per shard.
-type shardClient struct {
-	id      uint64
-	ep      *netsim.Endpoint
-	gen     *workload.Generator
-	plan    shard.Map
-	leaders []ids.ID // believed leader per shard, updated by redirects
-	seqs    []uint64
-
-	cur      kvstore.Command
-	curShard int
-	issuedAt time.Duration
-
-	hist       *metrics.Histogram
-	completed  *metrics.Counter
-	shardAcked []metrics.Counter
-	warmupEnd  time.Duration
-	windowEnd  time.Duration
-	stop       bool
-}
-
-func (c *shardClient) next() {
-	if c.stop {
-		return
-	}
-	cmd := c.gen.Next(c.id, 0)
-	k := c.plan.Router.Shard(cmd.Key)
-	c.seqs[k]++
-	cmd.Seq = c.seqs[k]
-	c.cur, c.curShard = cmd, k
-	c.issuedAt = c.ep.Now()
-	c.ep.Send(c.leaders[k], wire.Sharded{Shard: uint16(k), Inner: wire.Request{Cmd: cmd}})
-}
-
-// OnMessage handles shard-tagged replies and redirects.
-func (c *shardClient) OnMessage(from ids.ID, m wire.Msg) {
-	rep, k, ok := unwrapReply(m)
-	if !ok || k != c.curShard || rep.Seq != c.cur.Seq {
-		return
-	}
-	if !rep.OK {
-		if !rep.Leader.IsZero() {
-			c.leaders[k] = rep.Leader
-			c.ep.Send(rep.Leader, wire.Sharded{Shard: uint16(k), Inner: wire.Request{Cmd: c.cur}})
-			return
-		}
-		c.next()
-		return
-	}
-	now := c.ep.Now()
-	if now >= c.warmupEnd && now < c.windowEnd {
-		c.hist.Observe(now - c.issuedAt)
-		c.completed.Inc()
-		c.shardAcked[k].Inc()
-	}
-	c.next()
-}
 
 // ShardLoad is one shard's slice of a sharded throughput run.
 type ShardLoad struct {
@@ -258,225 +32,6 @@ type ShardLoad struct {
 	// LeaderUtil is the leader node's CPU utilization over the run. Nodes
 	// hosting several shards report the same (whole-node) figure for each.
 	LeaderUtil float64
-}
-
-// ShardedResult is a sharded throughput run's measurement.
-type ShardedResult struct {
-	Protocol   Protocol
-	N          int
-	Shards     int
-	Clients    int
-	Throughput float64 // aggregate in-window acks per second
-	Latency    metrics.Summary
-	Messages   uint64
-	PerShard   []ShardLoad
-}
-
-// RunSharded executes one sharded throughput experiment: S consensus groups
-// behind the key router, closed-loop clients routing by key at equal
-// aggregate client count regardless of S (so sweeps compare shard counts at
-// fixed offered load).
-func RunSharded(opts ShardedOptions) ShardedResult {
-	opts.applyDefaults()
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
-	plan := opts.plan(cc)
-
-	replicas, _ := shardedReplicas(&opts, net, cc, plan, false)
-	_ = replicas
-
-	hist := metrics.NewHistogram()
-	var completed metrics.Counter
-	shardAcked := make([]metrics.Counter, plan.NumShards())
-	warmupEnd := opts.Warmup
-	windowEnd := opts.Warmup + opts.Measure
-
-	leaders := plan.Leaders()
-	clients := make([]*shardClient, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		cl := &shardClient{
-			id:         uint64(i + 1),
-			gen:        workload.New(opts.Workload, sim.Rand()),
-			plan:       plan,
-			leaders:    append([]ids.ID(nil), leaders...),
-			seqs:       make([]uint64, plan.NumShards()),
-			hist:       hist,
-			completed:  &completed,
-			shardAcked: shardAcked,
-			warmupEnd:  warmupEnd,
-			windowEnd:  windowEnd,
-		}
-		cl.ep = net.Register(ids.NewID(cc.ZoneOf(cc.Nodes[0]), 1000+i), cl, true)
-		clients[i] = cl
-	}
-
-	startSharded(sim, plan, replicas)
-	for i, cl := range clients {
-		cl := cl
-		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.next)
-	}
-	sim.Run(windowEnd)
-	for _, cl := range clients {
-		cl.stop = true
-	}
-
-	res := ShardedResult{
-		Protocol:   opts.Protocol,
-		N:          opts.N,
-		Shards:     plan.NumShards(),
-		Clients:    opts.Clients,
-		Throughput: float64(completed.Value()) / opts.Measure.Seconds(),
-		Latency:    hist.Snapshot(),
-		Messages:   net.MessagesSent(),
-	}
-	wall := windowEnd.Seconds()
-	for k, desc := range plan.Shards {
-		acked := int(shardAcked[k].Value())
-		res.PerShard = append(res.PerShard, ShardLoad{
-			Shard:      k,
-			Leader:     desc.Leader,
-			Acked:      acked,
-			Throughput: float64(acked) / opts.Measure.Seconds(),
-			LeaderUtil: net.Endpoint(desc.Leader).BusyTotal().Seconds() / wall,
-		})
-	}
-	return res
-}
-
-// shardScenClient is the scenario client of a sharded run: a fixed recorded
-// script whose operations route by key, with per-shard sessions, per-shard
-// retry targets (the shard's members, leader first) and per-shard
-// availability tracking.
-type shardScenClient struct {
-	id      uint64
-	ep      *netsim.Endpoint
-	plan    shard.Map
-	targets [][]ids.ID // per shard, leader first
-	rr      []int      // per-shard target cursor
-	retry   time.Duration
-
-	script   []kvstore.Command
-	opShard  []int // per-op shard, precomputed
-	pos      int
-	seqs     []uint64
-	started  time.Duration
-	timer    node.Timer
-	think    time.Duration
-	awaiting bool
-	done     bool
-
-	hist      *linearizability.History
-	gaps      *metrics.GapTracker
-	shardGaps []*metrics.GapTracker
-	lat       *metrics.Histogram
-	inWindow  *metrics.Counter
-	warmupEnd time.Duration
-	windowEnd time.Duration
-}
-
-func (c *shardScenClient) stopTimer() {
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
-}
-
-func (c *shardScenClient) send(k int) {
-	to := c.targets[k][c.rr[k]%len(c.targets[k])]
-	c.ep.Send(to, wire.Sharded{Shard: uint16(k), Inner: wire.Request{Cmd: c.script[c.pos]}})
-}
-
-func (c *shardScenClient) armRetry() {
-	if c.retry <= 0 {
-		return
-	}
-	pos := c.pos
-	c.timer = c.ep.After(c.retry, func() {
-		if c.done || !c.awaiting || c.pos != pos {
-			return
-		}
-		k := c.opShard[c.pos]
-		c.rr[k]++
-		c.send(k)
-		c.armRetry()
-	})
-}
-
-func (c *shardScenClient) next() {
-	c.stopTimer()
-	if c.pos >= len(c.script) {
-		c.done = true
-		return
-	}
-	k := c.opShard[c.pos]
-	cmd := c.script[c.pos]
-	c.seqs[k]++
-	cmd.ClientID = c.id
-	cmd.Seq = c.seqs[k]
-	c.script[c.pos] = cmd
-	c.started = c.ep.Now()
-	c.awaiting = true
-	c.send(k)
-	c.armRetry()
-}
-
-// OnMessage handles shard-tagged replies: acks recorded into the shared
-// history and the op's shard trackers, redirects re-aimed within the shard,
-// silence left to the retry timer.
-func (c *shardScenClient) OnMessage(from ids.ID, m wire.Msg) {
-	if c.done || !c.awaiting || c.pos >= len(c.script) {
-		return
-	}
-	k := c.opShard[c.pos]
-	rep, repShard, ok := unwrapReply(m)
-	if !ok || repShard != k || rep.Seq != c.seqs[k] {
-		return
-	}
-	if !rep.OK {
-		if !rep.Leader.IsZero() {
-			for i, t := range c.targets[k] {
-				if t == rep.Leader {
-					c.rr[k] = i
-					break
-				}
-			}
-			c.ep.Send(rep.Leader, wire.Sharded{Shard: uint16(k), Inner: wire.Request{Cmd: c.script[c.pos]}})
-		}
-		return
-	}
-	cmd := c.script[c.pos]
-	now := c.ep.Now()
-	c.awaiting = false
-	op := linearizability.Op{
-		Key:    cmd.Key,
-		Start:  c.started,
-		End:    now,
-		Client: c.id,
-	}
-	if cmd.Op == kvstore.Get {
-		op.Kind = linearizability.Read
-		if rep.Exists {
-			op.Output = string(rep.Value)
-		}
-	} else {
-		op.Kind = linearizability.Write
-		op.Input = string(cmd.Value)
-	}
-	c.hist.Add(op)
-	c.gaps.Record(now)
-	c.shardGaps[k].Record(now)
-	c.lat.Observe(now - c.started)
-	if now >= c.warmupEnd && now < c.windowEnd {
-		c.inWindow.Inc()
-	}
-	c.pos++
-	c.stopTimer()
-	if c.think > 0 {
-		c.ep.After(c.think, c.next)
-	} else {
-		c.next()
-	}
 }
 
 // shardProbe is a per-shard availability probe: one closed-loop client per
@@ -500,6 +55,10 @@ type shardProbe struct {
 	retry    time.Duration
 	interval time.Duration
 	gaps     *metrics.GapTracker
+	// done reports the scripted workload finished: the probe stops there,
+	// so its reads cannot keep the leader a commit ahead of its followers
+	// while the run waits for the replicas to converge.
+	done func() bool
 
 	cur      kvstore.Command
 	awaiting bool
@@ -535,6 +94,9 @@ func (p *shardProbe) armRetry() {
 
 func (p *shardProbe) next() {
 	p.stopTimer()
+	if p.done() {
+		return
+	}
 	p.seq++
 	p.cur = kvstore.Command{
 		Op: kvstore.Get, Key: p.keys[p.ki%len(p.keys)],
@@ -547,7 +109,8 @@ func (p *shardProbe) next() {
 }
 
 func (p *shardProbe) OnMessage(from ids.ID, m wire.Msg) {
-	rep, k, ok := unwrapReply(m)
+	m, k := unwrap(m)
+	rep, ok := m.(wire.Reply)
 	if !ok || k != p.shardIdx || rep.Seq != p.seq || !p.awaiting {
 		return
 	}
@@ -581,92 +144,6 @@ func probeKeys(r shard.Router, k, n int, from uint64) []uint64 {
 	return out
 }
 
-// shardResolver resolves chaos targets against live per-shard state. It
-// implements chaos.Resolver/Placer (shard 0 stands in for "the" leader) plus
-// the ShardResolver/ShardPlacer extensions.
-type shardResolver struct {
-	cc       config.Cluster
-	plan     shard.Map
-	net      *netsim.Network
-	replicas []map[ids.ID]replica
-}
-
-// ShardLeader implements chaos.ShardResolver: the first member (membership
-// order) whose shard-k replica believes it leads.
-func (sr *shardResolver) ShardLeader(k int) ids.ID {
-	if k < 0 || k >= len(sr.plan.Shards) {
-		return 0
-	}
-	for _, id := range sr.plan.Shards[k].Members {
-		switch r := sr.replicas[k][id].(type) {
-		case *paxos.Replica:
-			if r.IsLeader() {
-				return id
-			}
-		case *pigpaxos.Replica:
-			if r.Core().IsLeader() {
-				return id
-			}
-		}
-	}
-	return 0
-}
-
-// Leader implements chaos.Resolver as shard 0's leader.
-func (sr *shardResolver) Leader() ids.ID { return sr.ShardLeader(0) }
-
-// Relay implements chaos.Resolver against shard 0's relay plane.
-func (sr *shardResolver) Relay(g int) ids.ID {
-	leader := sr.ShardLeader(0)
-	if leader.IsZero() {
-		return 0
-	}
-	pr, ok := sr.replicas[0][leader].(*pigpaxos.Replica)
-	if !ok {
-		return 0
-	}
-	if relay := pr.LastRelay(g); !relay.IsZero() {
-		return relay
-	}
-	layout := pr.Layout()
-	if g >= 0 && g < layout.NumGroups() && len(layout.Groups[g]) > 0 {
-		return layout.Groups[g][0]
-	}
-	return 0
-}
-
-// CampaignShardFrom implements chaos.ShardPlacer: the first live non-leader
-// member of shard k in the zone (zone 0 = any) campaigns for that shard's
-// leadership.
-func (sr *shardResolver) CampaignShardFrom(k, zone int) ids.ID {
-	if k < 0 || k >= len(sr.plan.Shards) {
-		return 0
-	}
-	cur := sr.ShardLeader(k)
-	for _, id := range sr.plan.Shards[k].Members {
-		if id == cur || sr.net.Crashed(id) {
-			continue
-		}
-		if zone != 0 && sr.cc.ZoneOf(id) != zone {
-			continue
-		}
-		switch r := sr.replicas[k][id].(type) {
-		case *paxos.Replica:
-			r.Campaign()
-			return id
-		case *pigpaxos.Replica:
-			r.Core().Campaign()
-			return id
-		}
-	}
-	return 0
-}
-
-// CampaignFrom implements chaos.Placer against shard 0.
-func (sr *shardResolver) CampaignFrom(zone int) ids.ID {
-	return sr.CampaignShardFrom(0, zone)
-}
-
 // ShardSlice is one shard's slice of a sharded scenario: what service looked
 // like for the keys it owns.
 type ShardSlice struct {
@@ -689,219 +166,6 @@ type ShardSlice struct {
 	Converged bool
 }
 
-// ShardedScenarioResult is a sharded scenario's measurement and verdicts.
-// Like ScenarioResult it contains only virtual-time-derived values, so two
-// runs at one seed are asserted bit-identical.
-type ShardedScenarioResult struct {
-	Protocol Protocol
-	N        int
-	Shards   int
-	Clients  int
-
-	Acked      int
-	Throughput float64
-	Latency    metrics.Summary
-
-	// Linearizable is the checker's verdict over the shared cross-shard
-	// history: per-key linearizability must hold regardless of which shard
-	// served which key.
-	Linearizable bool
-	LinBadKey    uint64
-	LinChecked   int
-	LinExplored  int
-	AllComplete  bool
-	// Converged reports every shard's members ended bit-identical.
-	Converged bool
-
-	Messages  uint64
-	Delivered uint64
-	Dropped   uint64
-
-	PerShard []ShardSlice
-	FaultLog []chaos.Applied
-}
-
-// RunShardedScenario executes a sharded run under a chaos schedule: scripted
-// clients route by key across S groups, every completed operation lands in
-// one shared linearizability history, and each shard's availability is
-// tracked separately so fault blast radius is measurable per shard.
-func RunShardedScenario(opts ShardedOptions, sched chaos.Schedule) ShardedScenarioResult {
-	opts.applyDefaults()
-	sim := des.New(opts.Seed)
-	cc := opts.cluster()
-	net := netsim.New(sim, cc, opts.Net)
-	plan := opts.plan(cc)
-
-	replicas, stores := shardedReplicas(&opts, net, cc, plan, true)
-
-	hist := &linearizability.History{}
-	gaps := &metrics.GapTracker{}
-	lat := metrics.NewHistogram()
-	var inWindow metrics.Counter
-	shardGaps := make([]*metrics.GapTracker, plan.NumShards())
-	for k := range shardGaps {
-		shardGaps[k] = &metrics.GapTracker{}
-	}
-	warmupEnd := opts.Warmup
-	windowEnd := opts.Warmup + opts.Measure
-
-	// Per-shard retry targets: members with the planned leader first, the
-	// rest in membership order.
-	targets := make([][]ids.ID, plan.NumShards())
-	for k, desc := range plan.Shards {
-		targets[k] = append(targets[k], desc.Leader)
-		for _, id := range desc.Members {
-			if id != desc.Leader {
-				targets[k] = append(targets[k], id)
-			}
-		}
-	}
-
-	clients := make([]*shardScenClient, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		script := scenScript(i, opts.OpsPerClient, opts.ProbeKeys)
-		opShard := make([]int, len(script))
-		for j, cmd := range script {
-			opShard[j] = plan.Router.Shard(cmd.Key)
-		}
-		cl := &shardScenClient{
-			id:        uint64(i + 1),
-			plan:      plan,
-			targets:   targets,
-			rr:        make([]int, plan.NumShards()),
-			retry:     opts.ClientRetry,
-			script:    script,
-			opShard:   opShard,
-			seqs:      make([]uint64, plan.NumShards()),
-			think:     opts.ThinkTime,
-			hist:      hist,
-			gaps:      gaps,
-			shardGaps: shardGaps,
-			lat:       lat,
-			inWindow:  &inWindow,
-			warmupEnd: warmupEnd,
-			windowEnd: windowEnd,
-		}
-		cl.ep = net.Register(ids.NewID(cc.ZoneOf(cc.Nodes[0]), 1000+i), cl, true)
-		clients[i] = cl
-	}
-
-	// One availability probe per shard, reading dedicated keys above the
-	// scripted keyspace at a cadence well under the stall threshold.
-	probes := make([]*shardProbe, plan.NumShards())
-	for k := range plan.Shards {
-		pr := &shardProbe{
-			id:       uint64(opts.Clients + 1 + k),
-			shardIdx: k,
-			keys:     probeKeys(plan.Router, k, 8, uint64(opts.ProbeKeys)),
-			targets:  targets[k],
-			retry:    opts.ClientRetry,
-			interval: 25 * time.Millisecond,
-			gaps:     shardGaps[k],
-		}
-		pr.ep = net.Register(ids.NewID(cc.ZoneOf(cc.Nodes[0]), 2000+k), pr, true)
-		probes[k] = pr
-	}
-
-	resolver := &shardResolver{cc: cc, plan: plan, net: net, replicas: replicas}
-	injector := chaos.Apply(sim, net, sched, resolver)
-
-	startSharded(sim, plan, replicas)
-	for i, cl := range clients {
-		cl := cl
-		sim.Schedule(time.Duration(i)*50*time.Microsecond+time.Millisecond, cl.next)
-	}
-	for k, pr := range probes {
-		pr := pr
-		sim.Schedule(time.Duration(k)*75*time.Microsecond+time.Millisecond, pr.next)
-	}
-
-	sim.Run(windowEnd)
-	drainEnd := windowEnd + opts.Drain
-	for sim.Now() < drainEnd {
-		allDone := true
-		for _, cl := range clients {
-			if !cl.done {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
-		next := sim.Now() + 100*time.Millisecond
-		if next > drainEnd {
-			next = drainEnd
-		}
-		sim.Run(next)
-	}
-	shardConverged := func(k int) bool {
-		members := plan.Shards[k].Members
-		first := stores[k][members[0]]
-		for _, id := range members[1:] {
-			st := stores[k][id]
-			if st.Checksum() != first.Checksum() || st.Applied() != first.Applied() {
-				return false
-			}
-		}
-		return true
-	}
-	converged := func() bool {
-		for k := range plan.Shards {
-			if !shardConverged(k) {
-				return false
-			}
-		}
-		return true
-	}
-	sim.Run(sim.Now() + 500*time.Millisecond)
-	for end := sim.Now() + 4*time.Second; sim.Now() < end && !converged(); {
-		sim.Run(sim.Now() + 250*time.Millisecond)
-	}
-
-	res := ShardedScenarioResult{
-		Protocol:   opts.Protocol,
-		N:          opts.N,
-		Shards:     plan.NumShards(),
-		Clients:    opts.Clients,
-		Acked:      gaps.Count(),
-		Throughput: float64(inWindow.Value()) / opts.Measure.Seconds(),
-		Latency:    lat.Snapshot(),
-		Messages:   net.MessagesSent(),
-		Delivered:  net.MessagesDelivered(),
-		Dropped:    net.MessagesDropped(),
-		FaultLog:   injector.Log(),
-	}
-	res.AllComplete = true
-	for _, cl := range clients {
-		if !cl.done {
-			res.AllComplete = false
-		}
-	}
-	res.Converged = true
-	for k, desc := range plan.Shards {
-		sl := ShardSlice{
-			Shard:     k,
-			Members:   desc.Members,
-			Leader:    desc.Leader,
-			Acked:     shardGaps[k].Count(),
-			Stalls:    shardGaps[k].GapsOver(regionStallThreshold),
-			Converged: shardConverged(k),
-		}
-		sl.GapStart, sl.AvailabilityGap = shardGaps[k].MaxGap()
-		if !sl.Converged {
-			res.Converged = false
-		}
-		res.PerShard = append(res.PerShard, sl)
-	}
-	lin := hist.Check()
-	res.Linearizable = lin.OK
-	res.LinBadKey = lin.BadKey
-	res.LinChecked = lin.Checked
-	res.LinExplored = lin.Explored
-	return res
-}
-
 // ShardPoint is one sample of a shard-count sweep.
 type ShardPoint struct {
 	Shards     int
@@ -919,16 +183,16 @@ type ShardPoint struct {
 	HotShardShare float64
 }
 
-// ShardSweep runs RunSharded across shard counts at equal aggregate client
+// ShardSweep runs Run across shard counts at equal aggregate client
 // count and reports the scaling curve, baselined against the smallest
 // swept shard count. The acceptance bar for the sharding layer is
 // SpeedupVsMin ≥ 3 at Shards=4 (with a sweep starting at S=1).
-func ShardSweep(opts ShardedOptions, shardCounts []int) []ShardPoint {
+func ShardSweep(opts Options, shardCounts []int) []ShardPoint {
 	out := make([]ShardPoint, 0, len(shardCounts))
 	for _, s := range shardCounts {
 		o := opts
 		o.Shards = s
-		r := RunSharded(o)
+		r := Run(o)
 		p := ShardPoint{
 			Shards:       s,
 			Throughput:   r.Throughput,

@@ -7,23 +7,22 @@ import (
 
 	"pigpaxos/internal/chaos"
 	"pigpaxos/internal/config"
+	"pigpaxos/internal/paxos"
 	"pigpaxos/internal/shard"
 	"pigpaxos/internal/workload"
 )
 
 // shardTestOpts is a short sharded run: 12 nodes so 4 shards tile the
 // membership disjointly.
-func shardTestOpts(p Protocol) ShardedOptions {
-	return ShardedOptions{
-		ScenarioOptions: ScenarioOptions{
-			Options: Options{
-				Protocol: p,
-				N:        12,
-				Clients:  48,
-				Warmup:   200 * time.Millisecond,
-				Measure:  time.Second,
-				Seed:     42,
-			},
+func shardTestOpts(p Protocol) ScenarioOptions {
+	return ScenarioOptions{
+		Options: Options{
+			Protocol: p,
+			N:        12,
+			Clients:  48,
+			Warmup:   200 * time.Millisecond,
+			Measure:  time.Second,
+			Seed:     42,
 		},
 	}
 }
@@ -32,7 +31,7 @@ func shardTestOpts(p Protocol) ShardedOptions {
 // equal aggregate client count.
 func TestShardSweepScalesNearLinearly(t *testing.T) {
 	for _, p := range []Protocol{Paxos, PigPaxos} {
-		pts := ShardSweep(shardTestOpts(p), []int{1, 4})
+		pts := ShardSweep(shardTestOpts(p).Options, []int{1, 4})
 		if len(pts) != 2 {
 			t.Fatalf("%v: sweep returned %d points", p, len(pts))
 		}
@@ -51,7 +50,7 @@ func TestShardSweepScalesNearLinearly(t *testing.T) {
 // captured at s == 1). The curve must now anchor on the smallest swept S,
 // wherever it appears in the list.
 func TestShardSweepBaselinesOnSmallestSweptS(t *testing.T) {
-	pts := ShardSweep(shardTestOpts(Paxos), []int{4, 2})
+	pts := ShardSweep(shardTestOpts(Paxos).Options, []int{4, 2})
 	if len(pts) != 2 {
 		t.Fatalf("sweep returned %d points", len(pts))
 	}
@@ -82,9 +81,9 @@ func TestShardedZipfianShowsHotShard(t *testing.T) {
 	zipf := uni
 	zipf.Workload = workload.Config{Dist: workload.Zipfian, Theta: 0.99}
 
-	ru := RunSharded(uni)
-	rz := RunSharded(zipf)
-	share := func(r ShardedResult) float64 {
+	ru := Run(uni.Options)
+	rz := Run(zipf.Options)
+	share := func(r Result) float64 {
 		total, hot := 0, 0
 		for _, sl := range r.PerShard {
 			total += sl.Acked
@@ -114,7 +113,7 @@ func TestShardedScenarioLeaderCrashIsolated(t *testing.T) {
 	crashAt := opts.Warmup + opts.Measure/4
 	sched := chaos.ShardLeaderCrash(0, crashAt, opts.Measure/2)
 
-	r := RunShardedScenario(opts, sched)
+	r := RunScenario(opts, sched)
 	if !r.Linearizable {
 		t.Fatalf("cross-shard history not linearizable (bad key %d)", r.LinBadKey)
 	}
@@ -152,8 +151,8 @@ func TestShardedScenarioDeterministic(t *testing.T) {
 	opts.Clients = 12
 	opts.OpsPerClient = 18
 	sched := chaos.ShardLeaderCrash(1, opts.Warmup+250*time.Millisecond, 500*time.Millisecond)
-	a := RunShardedScenario(opts, sched)
-	b := RunShardedScenario(opts, sched)
+	a := RunScenario(opts, sched)
+	b := RunScenario(opts, sched)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
 	}
@@ -169,7 +168,7 @@ func TestShardedScenarioHealthy(t *testing.T) {
 	opts.Shards = 2
 	opts.Clients = 10
 	opts.OpsPerClient = 15
-	r := RunShardedScenario(opts, nil)
+	r := RunScenario(opts, nil)
 	if !r.Linearizable || !r.AllComplete || !r.Converged {
 		t.Fatalf("healthy run: lin=%v complete=%v converged=%v", r.Linearizable, r.AllComplete, r.Converged)
 	}
@@ -192,7 +191,7 @@ func TestShardedScenarioPlacementFlip(t *testing.T) {
 	opts.OpsPerClient = 15
 	opts.Measure = 2 * time.Second
 	sched := chaos.ShardFlip(1, 0, opts.Warmup+300*time.Millisecond)
-	r := RunShardedScenario(opts, sched)
+	r := RunScenario(opts, sched)
 	if !r.Linearizable || !r.AllComplete || !r.Converged {
 		t.Fatalf("flip run: lin=%v complete=%v converged=%v", r.Linearizable, r.AllComplete, r.Converged)
 	}
@@ -207,20 +206,75 @@ func TestShardedScenarioPlacementFlip(t *testing.T) {
 	}
 }
 
-// S=1 must reduce to a single group spanning the whole membership.
+// S=1 must reduce to a single group spanning the whole membership, and be
+// the unsharded deployment itself: bit-identical results, no envelope.
 func TestShardedSingleShardDegenerate(t *testing.T) {
 	opts := shardTestOpts(Paxos)
 	opts.Shards = 1
 	opts.Clients = 8
 	opts.OpsPerClient = 12
-	r := RunShardedScenario(opts, nil)
-	if r.Shards != 1 || len(r.PerShard) != 1 {
-		t.Fatalf("S=1 produced %d shards", r.Shards)
+	sched := chaos.LeaderCrash(opts.Warmup+200*time.Millisecond, 300*time.Millisecond)
+	r := RunScenario(opts, sched)
+	if len(r.PerShard) != 1 {
+		t.Fatalf("S=1 produced %d shards", len(r.PerShard))
 	}
 	if len(r.PerShard[0].Members) != opts.N {
 		t.Fatalf("S=1 group has %d members, want %d", len(r.PerShard[0].Members), opts.N)
 	}
 	if !r.Linearizable || !r.Converged {
 		t.Fatalf("S=1 run: lin=%v converged=%v", r.Linearizable, r.Converged)
+	}
+	unsharded := opts
+	unsharded.Shards = 0
+	if u := RunScenario(unsharded, sched); !reflect.DeepEqual(r, u) {
+		t.Errorf("S=1 scenario differs from the unsharded one:\n%v\n%v", r, u)
+	}
+	if a, b := Run(opts.Options), Run(unsharded.Options); !reflect.DeepEqual(a, b) {
+		t.Errorf("S=1 run differs from the unsharded one:\n%v\n%v", a, b)
+	}
+}
+
+// Sharded scripted clients honor a leader's shard-tagged Busy: a shed op
+// backs off for the hinted interval and retries at the same leader instead
+// of waiting out the silence timer, and each rejection is counted.
+func TestShardedScenarioHonorsBusy(t *testing.T) {
+	opts := shardTestOpts(Paxos)
+	opts.Shards = 4
+	opts.OpsPerClient = 12
+	opts.ThinkTime = -1
+	opts.MaxInFlight = 1
+	opts.ClientRetry = 120 * time.Millisecond
+	opts.MutPaxos = func(c *paxos.Config) { c.MaxPending = 2 }
+	r := RunScenario(opts, nil)
+	if r.Busy == 0 {
+		t.Fatal("a 2-deep ingress queue under 48 unpaced clients shed nothing")
+	}
+	if !r.Linearizable || !r.AllComplete || !r.Converged {
+		t.Fatalf("lin=%v complete=%v converged=%v", r.Linearizable, r.AllComplete, r.Converged)
+	}
+	if r.Latency.P99 >= opts.ClientRetry {
+		t.Errorf("p99 %v: shed ops waited out the %v retry timer", r.Latency.P99, opts.ClientRetry)
+	}
+}
+
+// A durable sharded deployment journals every shard's replica on its node:
+// restarting shard 0's leader reboots each replica that node hosts from its
+// own snapshot + WAL tail, and the run stays linearizable and converged.
+func TestShardedScenarioRestartLeaderDurable(t *testing.T) {
+	for _, p := range []Protocol{Paxos, PigPaxos} {
+		opts := shardTestOpts(p)
+		opts.Shards = 4
+		opts.Clients = 12
+		opts.OpsPerClient = 24
+		opts.Durable = true
+		opts.SnapshotEvery = 8
+		r := RunScenario(opts, chaos.LeaderRestart(opts.Warmup+300*time.Millisecond, 300*time.Millisecond))
+		if !r.Linearizable || !r.AllComplete || !r.Converged {
+			t.Fatalf("%v: lin=%v complete=%v converged=%v", p, r.Linearizable, r.AllComplete, r.Converged)
+		}
+		if r.Reboots != 1 || r.SnapRestores == 0 || r.WALSyncs == 0 {
+			t.Errorf("%v: reboots=%d snapRestores=%d walSyncs=%d (log %v)",
+				p, r.Reboots, r.SnapRestores, r.WALSyncs, r.FaultLog)
+		}
 	}
 }
